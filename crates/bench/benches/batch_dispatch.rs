@@ -1,13 +1,14 @@
-//! Microbenchmark: coalescing batch dispatcher vs the threaded shared-cache
-//! runner, across batch sizes.
+//! Microbenchmark: the reactor's coalesced batches vs the threaded
+//! shared-cache driver, across batch sizes.
 //!
-//! The grid runs 8 CNRW walkers at fixed steps through (a) the threaded
-//! `MultiWalkRunner` over a lock-striped `SharedOsn` — one interface call
-//! per step — and (b) the `CoalescingDispatcher` over a `SimulatedBatchOsn`
-//! with batch sizes 1/8/32. Batching cannot change *charged* cost (unique
-//! nodes are unique nodes); what it buys is a compressed request stream —
-//! the thing per-call rate limits meter — at the price of the dispatcher's
-//! queue/dedup bookkeeping, which is exactly what this bench measures.
+//! The grid runs 8 CNRW walkers at fixed steps through (a)
+//! `WalkOrchestrator::run_threaded` over a lock-striped `SharedOsn` — one
+//! interface call per step — and (b) `WalkOrchestrator::run_reactor` over
+//! a `SimulatedBatchOsn` with batch sizes 1/8/32. Batching cannot change
+//! *charged* cost (unique nodes are unique nodes); what it buys is a
+//! compressed request stream — the thing per-call rate limits meter — at
+//! the price of the reactor's queue/dedup bookkeeping, which is exactly
+//! what this bench measures.
 
 use std::sync::Arc;
 
@@ -16,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use osn_client::{BatchConfig, SharedOsn, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, MultiWalkRunner, RandomWalk};
+use osn_walks::{Cnrw, Never, RandomWalk, WalkOrchestrator};
 
 const WALKERS: usize = 8;
 const STEPS_PER_WALKER: usize = 2_000;
@@ -37,8 +38,8 @@ fn batch_dispatch(c: &mut Criterion) {
         b.iter(|| {
             seed += 1;
             let client = SharedOsn::with_stripes(SimulatedOsn::new_shared(network.clone()), 16);
-            MultiWalkRunner::new(WALKERS, STEPS_PER_WALKER, seed)
-                .run(&client, make_walker, |v| v.index() as f64)
+            WalkOrchestrator::new(WALKERS, STEPS_PER_WALKER, seed)
+                .run_threaded(&client, make_walker, |v| v.index() as f64, &Never)
                 .trace
                 .total_steps()
         });
@@ -55,8 +56,8 @@ fn batch_dispatch(c: &mut Criterion) {
                         SimulatedOsn::new_shared(network.clone()),
                         BatchConfig::new(batch_size).with_in_flight(4),
                     );
-                    MultiWalkRunner::new(WALKERS, STEPS_PER_WALKER, seed)
-                        .run_batched(&mut client, make_walker, |v| v.index() as f64)
+                    WalkOrchestrator::new(WALKERS, STEPS_PER_WALKER, seed)
+                        .run_reactor(&mut client, make_walker, |v| v.index() as f64, &Never)
                         .trace
                         .total_steps()
                 });
@@ -71,17 +72,19 @@ fn batch_dispatch(c: &mut Criterion) {
         SimulatedOsn::new_shared(network.clone()),
         BatchConfig::new(32).with_in_flight(4),
     );
-    let report = MultiWalkRunner::new(WALKERS, STEPS_PER_WALKER, 7).run_batched(
+    let report = WalkOrchestrator::new(WALKERS, STEPS_PER_WALKER, 7).run_reactor(
         &mut client,
         make_walker,
         |v| v.index() as f64,
+        &Never,
     );
+    let charged = report.interface.expect("reactor reports interface stats");
     let stats = client.batch_stats();
     eprintln!(
         "\ncoalescing at B=32, {WALKERS} walkers x {STEPS_PER_WALKER} steps: \
          {} charged nodes in {} batch requests ({} walker-side queries would have \
          gone to the interface uncoalesced)",
-        report.interface.unique, stats.submitted, report.trace.stats.issued
+        charged.unique, stats.submitted, report.trace.stats.issued
     );
 }
 

@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use osn_client::{SharedOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, MultiWalkRunner, RandomWalk};
+use osn_walks::{Cnrw, Never, RandomWalk, WalkOrchestrator};
 
 const STEPS_PER_WALKER: usize = 5_000;
 
@@ -45,15 +45,17 @@ fn multiwalk_contention(c: &mut Criterion) {
                             SimulatedOsn::new_shared(network.clone()),
                             stripes,
                         );
-                        let report = MultiWalkRunner::new(walkers, STEPS_PER_WALKER, seed).run(
-                            &client,
-                            |i, backend| {
-                                let start = NodeId(((i * 31) % n) as u32);
-                                Box::new(Cnrw::with_backend(start, backend))
-                                    as Box<dyn RandomWalk + Send>
-                            },
-                            |v| v.index() as f64,
-                        );
+                        let report = WalkOrchestrator::new(walkers, STEPS_PER_WALKER, seed)
+                            .run_threaded(
+                                &client,
+                                |i, backend| {
+                                    let start = NodeId(((i * 31) % n) as u32);
+                                    Box::new(Cnrw::with_backend(start, backend))
+                                        as Box<dyn RandomWalk + Send>
+                                },
+                                |v| v.index() as f64,
+                                &Never,
+                            );
                         report.trace.total_steps()
                     });
                 },
@@ -67,13 +69,14 @@ fn multiwalk_contention(c: &mut Criterion) {
     eprintln!("\nobserved stripe contention (8 walkers, {STEPS_PER_WALKER} steps each):");
     for &stripes in &[1usize, 8, 64] {
         let client = SharedOsn::with_stripes(SimulatedOsn::new_shared(network.clone()), stripes);
-        MultiWalkRunner::new(8, STEPS_PER_WALKER, 7).run(
+        WalkOrchestrator::new(8, STEPS_PER_WALKER, 7).run_threaded(
             &client,
             |i, backend| {
                 let start = NodeId(((i * 31) % n) as u32);
                 Box::new(Cnrw::with_backend(start, backend)) as Box<dyn RandomWalk + Send>
             },
             |v| v.index() as f64,
+            &Never,
         );
         let stats = client.global_stats();
         eprintln!(

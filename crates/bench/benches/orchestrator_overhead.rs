@@ -1,27 +1,21 @@
-//! Microbenchmark: the unified orchestrator's loop overhead against
-//! hand-rolled PR-4-era loops, plus the cost of an active restart policy.
+//! Microbenchmark: the orchestrator's fleet drivers against a hand-rolled
+//! walk loop, plus the cost of an active restart policy.
 //!
-//! After PR 5, `WalkSession`, `MultiWalkSession`, `MultiWalkRunner`, and
-//! `CoalescingDispatcher` are wrappers over one execution core
-//! (`osn_walks::orchestrator`). This bench pins what that deduplication
-//! costs on the hot path:
+//! * `handrolled_serial` — the literal single-walk loop (match on
+//!   `walker.step`, push to a `Vec`), inlined here as the baseline;
+//! * `reactor_k1_never` — the same walk through
+//!   `WalkOrchestrator::run_reactor` over a zero-latency one-slot endpoint
+//!   under the `Never` policy (measures the event loop, dispatcher cache,
+//!   and cell bookkeeping);
+//! * `reactor_k4_never` — 4 walkers in lockstep waves of one batch;
+//! * `reactor_k4_steal` — the same fleet with `WorkStealing` enabled:
+//!   per-step observation (window push, visited-set insert, frontier
+//!   publish) plus cadence checks — the price of the policy, not of the
+//!   driver;
+//! * `threaded_k4_never` — 4 walkers on scoped OS threads over a
+//!   `SharedOsn`, the multi-core driver.
 //!
-//! * `handrolled_serial` — the literal pre-orchestrator `WalkSession` loop
-//!   (match on `walker.step`, push to a `Vec`), inlined here as the
-//!   baseline;
-//! * `orchestrator_serial_never` — the same walk through
-//!   `WalkOrchestrator::run_serial` under the `Never` policy (identical
-//!   trace; measures cell/driver bookkeeping);
-//! * `orchestrator_serial_k4_never` — 4 walkers round-robin, the active-set
-//!   scheduling the serial driver adds;
-//! * `orchestrator_serial_k4_steal` — the same fleet with `WorkStealing`
-//!   enabled: per-step observation (window push, visited-set insert,
-//!   frontier publish) plus cadence checks — the price of the policy, not
-//!   of the refactor;
-//! * `orchestrator_coalesced_never` — the coalesced driver at B=8 for
-//!   cross-reference with the `batch_dispatch` bench.
-//!
-//! `scripts/perf_check.sh` tracks the serial path's steps/sec through
+//! `scripts/perf_check.sh` tracks single-walk steps/sec through
 //! `repro perf` (the committed `BENCH_walkers.json` baseline, 15% warn
 //! tolerance); this bench is the microscope for *where* any regression
 //! lives.
@@ -30,7 +24,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
-use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
+use osn_client::{BatchConfig, SharedOsn, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_graph::NodeId;
 use osn_walks::{
@@ -76,77 +70,72 @@ fn orchestrator_overhead(c: &mut Criterion) {
         });
     });
 
-    group.bench_function(
-        BenchmarkId::from_parameter("orchestrator_serial_never"),
-        |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut client = SimulatedOsn::new_shared(network.clone());
-                WalkOrchestrator::new(1, STEPS, seed)
-                    .run_serial(
-                        &mut client,
-                        |_, b| Box::new(Cnrw::with_backend(NodeId(0), b)) as _,
-                        |_| 0.0,
-                        &Never,
-                    )
-                    .trace
-                    .total_steps()
-            });
-        },
-    );
+    // A synchronous client as a zero-latency endpoint with one batch slot
+    // per walker: the reactor's lockstep shape.
+    let endpoint = |walkers: usize| {
+        SimulatedBatchOsn::configured(
+            SimulatedOsn::new_shared(network.clone()),
+            BatchConfig::new(walkers),
+            None,
+        )
+    };
 
-    group.bench_function(
-        BenchmarkId::from_parameter("orchestrator_serial_k4_never"),
-        |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut client = SimulatedOsn::new_shared(network.clone());
-                WalkOrchestrator::new(4, STEPS / 4, seed)
-                    .run_serial(&mut client, make_walker, |v| v.index() as f64, &Never)
-                    .trace
-                    .total_steps()
-            });
-        },
-    );
-
-    group.bench_function(
-        BenchmarkId::from_parameter("orchestrator_serial_k4_steal"),
-        |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut client = SimulatedOsn::new_shared(network.clone());
-                let policy = WorkStealing::new(1.1, 64, SharedFrontier::new());
-                let report = WalkOrchestrator::new(4, STEPS / 4, seed).run_serial(
+    group.bench_function(BenchmarkId::from_parameter("reactor_k1_never"), |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut client = endpoint(1);
+            WalkOrchestrator::new(1, STEPS, seed)
+                .run_reactor(
                     &mut client,
-                    make_walker,
-                    |v| v.index() as f64,
-                    &policy,
-                );
-                (report.trace.total_steps(), report.restarts.len())
-            });
-        },
-    );
+                    |_, b| Box::new(Cnrw::with_backend(NodeId(0), b)) as _,
+                    |_| 0.0,
+                    &Never,
+                )
+                .trace
+                .total_steps()
+        });
+    });
 
-    group.bench_function(
-        BenchmarkId::from_parameter("orchestrator_coalesced_never"),
-        |b| {
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                let mut client = SimulatedBatchOsn::new(
-                    SimulatedOsn::new_shared(network.clone()),
-                    BatchConfig::new(8).with_in_flight(4),
-                );
-                WalkOrchestrator::new(4, STEPS / 4, seed)
-                    .run_coalesced(&mut client, make_walker, |v| v.index() as f64, &Never)
-                    .trace
-                    .total_steps()
-            });
-        },
-    );
+    group.bench_function(BenchmarkId::from_parameter("reactor_k4_never"), |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut client = endpoint(4);
+            WalkOrchestrator::new(4, STEPS / 4, seed)
+                .run_reactor(&mut client, make_walker, |v| v.index() as f64, &Never)
+                .trace
+                .total_steps()
+        });
+    });
+
+    group.bench_function(BenchmarkId::from_parameter("reactor_k4_steal"), |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let mut client = endpoint(4);
+            let policy = WorkStealing::new(1.1, 64, SharedFrontier::new());
+            let report = WalkOrchestrator::new(4, STEPS / 4, seed).run_reactor(
+                &mut client,
+                make_walker,
+                |v| v.index() as f64,
+                &policy,
+            );
+            (report.trace.total_steps(), report.restarts.len())
+        });
+    });
+
+    group.bench_function(BenchmarkId::from_parameter("threaded_k4_never"), |b| {
+        let mut seed = 0u64;
+        b.iter(|| {
+            seed += 1;
+            let client = SharedOsn::new(SimulatedOsn::new_shared(network.clone()));
+            WalkOrchestrator::new(4, STEPS / 4, seed)
+                .run_threaded(&client, make_walker, |v| v.index() as f64, &Never)
+                .trace
+                .total_steps()
+        });
+    });
 
     group.finish();
 }

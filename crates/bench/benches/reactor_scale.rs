@@ -1,14 +1,14 @@
 //! Microbenchmark: how each multi-walker backend scales with fleet size.
 //!
 //! The grid runs CNRW fleets of 1 / 100 / 10_000 walkers at fixed
-//! steps-per-walker through (a) the poll-driven reactor, (b) the lockstep
-//! coalescing dispatcher, and (c) the threaded `MultiWalkRunner` over a
-//! lock-striped `SharedOsn`. The threaded arm stops at 100 walkers: it
-//! spawns one OS thread per walker, so a 10k fleet would measure the
-//! scheduler's thrashing, not the walk — the reactor exists precisely so
-//! 10k walkers cost 10k small state machines instead of 10k stacks.
-//! Throughput is normalized to walker-steps so the three arms are
-//! comparable at every fleet size.
+//! steps-per-walker through (a) the poll-driven reactor and (b) the
+//! threaded driver (`WalkOrchestrator::run_threaded`) over a lock-striped
+//! `SharedOsn`. The threaded arm stops at 100 walkers: it spawns one OS
+//! thread per walker, so a 10k fleet would measure the scheduler's
+//! thrashing, not the walk — the reactor exists precisely so 10k walkers
+//! cost 10k small state machines instead of 10k stacks. Throughput is
+//! normalized to walker-steps so the arms are comparable at every fleet
+//! size.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use osn_client::{BatchConfig, SharedOsn, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, HistoryBackend, MultiWalkRunner, Never, RandomWalk, WalkOrchestrator};
+use osn_walks::{Cnrw, HistoryBackend, Never, RandomWalk, WalkOrchestrator};
 
 const STEPS_PER_WALKER: usize = 64;
 const FLEETS: [usize; 3] = [1, 100, 10_000];
@@ -60,21 +60,6 @@ fn reactor_scale(c: &mut Criterion) {
             },
         );
 
-        group.bench_function(
-            BenchmarkId::from_parameter(format!("coalesced_k{walkers}")),
-            |b| {
-                let mut seed = 0u64;
-                b.iter(|| {
-                    seed += 1;
-                    let mut client = endpoint(&network);
-                    WalkOrchestrator::new(walkers, STEPS_PER_WALKER, seed)
-                        .run_coalesced(&mut client, make_walker(n), |v| v.index() as f64, &Never)
-                        .trace
-                        .total_steps()
-                });
-            },
-        );
-
         if walkers <= THREADED_CAP {
             group.bench_function(
                 BenchmarkId::from_parameter(format!("threaded_k{walkers}")),
@@ -84,8 +69,8 @@ fn reactor_scale(c: &mut Criterion) {
                         seed += 1;
                         let client =
                             SharedOsn::with_stripes(SimulatedOsn::new_shared(network.clone()), 16);
-                        MultiWalkRunner::new(walkers, STEPS_PER_WALKER, seed)
-                            .run(&client, make_walker(n), |v| v.index() as f64)
+                        WalkOrchestrator::new(walkers, STEPS_PER_WALKER, seed)
+                            .run_threaded(&client, make_walker(n), |v| v.index() as f64, &Never)
                             .trace
                             .total_steps()
                     });

@@ -1,5 +1,5 @@
 //! `reactor_soak` — CI smoke for the poll-driven reactor backend at fleet
-//! sizes the lockstep backends were never asked to carry.
+//! sizes a thread per walker could never carry.
 //!
 //! ```text
 //! reactor_soak [--walkers K] [--steps N] [--seed S] [--max-secs SECS]
@@ -15,9 +15,11 @@
 //! 2. **memory bound** — the loop's peak in-flight batches never exceed
 //!    the endpoint's in-flight window: reactor memory is O(active
 //!    batches), not O(fleet);
-//! 3. **equivalence spot-check** — the identical spec replayed through
-//!    the coalesced backend produces bit-identical traces, stops, and
-//!    estimate (schedule independence under `Never` with no budget);
+//! 3. **equivalence spot-check** — every walker replayed alone through a
+//!    `WalkSession` seeded with its derived stream produces a
+//!    bit-identical trace and stop, and the replays' estimators merged in
+//!    walker order give a bit-identical estimate (schedule independence
+//!    under `Never` with no budget);
 //! 4. **replay determinism** — a second reactor run from the same seed
 //!    reproduces the first bit-for-bit.
 //!
@@ -27,9 +29,12 @@
 
 use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
+use osn_estimate::RatioEstimator;
 use osn_experiments::Deadline;
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, HistoryBackend, Never, RandomWalk, WalkOrchestrator};
+use osn_walks::{
+    Cnrw, HistoryBackend, Never, RandomWalk, WalkConfig, WalkOrchestrator, WalkSession,
+};
 
 struct Options {
     walkers: usize,
@@ -175,21 +180,33 @@ fn main() {
         client.clock().elapsed_secs()
     );
 
-    // Phase 2: equivalence spot-check against the coalesced backend.
+    // Phase 2: equivalence spot-check against per-walker replays.
     guard(&deadline, "equivalence");
-    let mut subject = endpoint(&network, &opts);
-    let coalesced = orch.run_coalesced(&mut subject, make_walker(n), |v| v.index() as f64, &Never);
-    if coalesced.trace.per_walker != reference.trace.per_walker {
-        fail("reactor traces diverged from the coalesced backend".into());
+    let mut merged = RatioEstimator::new();
+    for (i, trace) in reference.trace.per_walker.iter().enumerate() {
+        let mut walker = make_walker(n)(i, orch.backend());
+        let replay = WalkSession::new(WalkConfig::steps(opts.steps).with_seed(orch.walker_seed(i)))
+            .run(
+                walker.as_mut(),
+                &mut SimulatedOsn::new_shared(network.clone()),
+            );
+        if trace.as_slice() != replay.nodes() {
+            fail(format!("reactor walker {i} trace diverged from its replay"));
+        }
+        if replay.stop != reference.stops[i] {
+            fail(format!("reactor walker {i} stop diverged from its replay"));
+        }
+        let mut est = RatioEstimator::new();
+        for &v in replay.nodes() {
+            est.push(v.index() as f64, network.graph.degree(v));
+        }
+        merged.merge(&est);
     }
-    if coalesced.stops != reference.stops {
-        fail("reactor stops diverged from the coalesced backend".into());
-    }
-    if coalesced.estimate.mean().map(f64::to_bits) != reference.estimate.mean().map(f64::to_bits) {
-        fail("reactor estimate diverged from the coalesced backend".into());
+    if merged.mean().map(f64::to_bits) != reference.estimate.mean().map(f64::to_bits) {
+        fail("reactor estimate diverged from the merged replays".into());
     }
     eprintln!(
-        "reactor_soak: equivalence OK — {} walkers bit-identical to run_coalesced",
+        "reactor_soak: equivalence OK — {} walkers bit-identical to WalkSession replays",
         opts.walkers
     );
 

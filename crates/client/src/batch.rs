@@ -77,8 +77,8 @@ pub struct BatchLimits {
 /// request shows congestion (a retry, a permanent drop, or a completion
 /// slower than [`Self::latency_target_secs`]), and creeps back up
 /// additively on every clean, fast completion. Callers that re-read
-/// `limits()` before each submission — as the orchestrator's coalescing
-/// pump does — pick up the new size automatically; the fixed
+/// `limits()` before each submission — as the reactor's pump does — pick
+/// up the new size automatically; the fixed
 /// [`BatchConfig::max_batch_size`] stays the hard ceiling and
 /// [`Self::min_batch`] the floor.
 #[derive(Clone, Copy, Debug, PartialEq)]

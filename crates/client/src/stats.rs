@@ -19,7 +19,7 @@ pub struct QueryStats {
 
 impl QueryStats {
     /// Record one call; `was_unique` says whether it was charged. Public so
-    /// external drivers (e.g. the coalescing batch dispatcher in
+    /// external drivers (e.g. the reactor's dispatcher cache in
     /// `osn-walks`) can keep walker-side accounting in the same shape.
     pub fn record(&mut self, was_unique: bool) {
         self.issued += 1;

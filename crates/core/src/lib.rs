@@ -59,18 +59,17 @@
 //! (stationary distributions, asymptotic variance via the fundamental
 //! matrix) used to validate the walkers against theory.
 //!
-//! ## One execution core
+//! ## One fleet driver
 //!
-//! Every run mode funnels through the unified [`orchestrator`]:
-//! [`WalkOrchestrator`] owns the step loop, the SplitMix64 per-walker RNG
-//! streams, budget cut-off, and stop bookkeeping, parameterized by an
-//! execution backend (serial round-robin, one OS thread per walker over
-//! `osn_client::SharedOsn`, or coalesced batches over
-//! `osn_client::BatchOsnClient`) and a [`RestartPolicy`] — [`Never`] for
-//! bit-exact classic runs, [`WorkStealing`] for frontier restarts of
-//! stalled walkers driven by the online windowed split-R̂. The historical
-//! drivers ([`WalkSession`], [`MultiWalkSession`], [`MultiWalkRunner`],
-//! [`CoalescingDispatcher`]) remain as thin bit-compatible wrappers.
+//! [`WalkSession`] runs one walker. Fleets run on the unified
+//! [`orchestrator`]: [`WalkOrchestrator`] owns the step core, the
+//! SplitMix64 per-walker RNG streams, budget cut-off, and stop
+//! bookkeeping, and drives the fleet on the poll-driven [`reactor`] (one
+//! thread, walkers parked on batches of an `osn_client::BatchOsnClient`) or
+//! on one OS thread per walker over `osn_client::SharedOsn`, under a
+//! [`RestartPolicy`] — [`Never`] for classic runs, [`WorkStealing`] for
+//! frontier restarts of stalled walkers driven by the online windowed
+//! split-R̂.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -94,13 +93,10 @@ pub use circulation::HistoryBackend;
 pub use frontier::{FrontierEntry, FrontierSampler, SharedFrontier};
 pub use grouping::{ByAttribute, ByDegree, ByHash, ByNode, GroupingStrategy, ValueBucketing};
 pub use groupplan::{AliasTable, DegenerateGrouping, DrawBatch, GroupPlan, NodeGroups, PlanMode};
-pub use multiwalk::{
-    BatchDispatchReport, CoalescingDispatcher, MultiWalkReport, MultiWalkRunner, MultiWalkSession,
-    MultiWalkTrace,
-};
+pub use multiwalk::MultiWalkTrace;
 pub use orchestrator::{
-    CoalescedWalkRun, Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason,
-    SerialWalkRun, WalkOrchestrator, WorkStealing,
+    Never, OrchestratorReport, RestartEvent, RestartPolicy, RestartReason, WalkOrchestrator,
+    WorkStealing,
 };
 pub use reactor::{ReactorStats, ReactorWalkRun, WalkerFsm};
 pub use session::{WalkConfig, WalkSession, WalkStop, WalkTrace};

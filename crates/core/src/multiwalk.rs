@@ -7,52 +7,20 @@
 //! others — `k` walkers cover ground faster *without* multiplying the
 //! unique-query bill.
 //!
-//! Since PR 5 the actual step loops live in **one place**, the unified
-//! [`crate::orchestrator`] ([`WalkOrchestrator`]) — this module keeps the
-//! established driver entry points as thin, bit-compatible wrappers over
-//! it, all running under [`crate::orchestrator::Never`]:
-//!
-//! * [`MultiWalkSession`] steps `k` walkers **round-robin on one thread**
-//!   against one client until the shared budget runs out, interleaving
-//!   their traces — the orchestrator's serial driver with this type's
-//!   historical per-walker seeds.
-//! * [`MultiWalkRunner`] runs `k` walkers on **`k` scoped OS threads**
-//!   against cloned handles of a thread-safe client (one
-//!   [`osn_client::SharedOsn`] handle per walker) — the orchestrator's
-//!   threaded driver. Per-walker traces are independent of thread
-//!   scheduling; per-walker [`osn_estimate::RatioEstimator`]s are merged in
-//!   walker-index order, so the pooled estimate is bit-stable too (absent a
-//!   shared budget, which makes cut-off timing scheduling-dependent by
-//!   nature).
-//! * [`CoalescingDispatcher`] (also reachable as
-//!   [`MultiWalkRunner::run_batched`]) drives `k` walkers against a
-//!   **batch endpoint** ([`osn_client::BatchOsnClient`]) — the
-//!   orchestrator's coalesced driver: rounds of queue → dedup → charge →
-//!   fan-out, per-walker traces bit-identical to the serial replay while
-//!   the interface sees each node at most once.
-//!
-//! New code should prefer [`WalkOrchestrator`] directly: it exposes the
-//! same three backends *plus* the [`crate::orchestrator::RestartPolicy`]
-//! parameter (work-stealing frontier restarts) these compatibility wrappers
-//! pin to `Never`. See `ARCHITECTURE.md` for the migration table.
+//! The fleet drivers live on [`crate::WalkOrchestrator`]: the poll-driven
+//! reactor ([`crate::WalkOrchestrator::run_reactor`]) drives `k` walkers on
+//! one thread against a batch endpoint, and
+//! [`crate::WalkOrchestrator::run_threaded`] runs them on `k` scoped OS
+//! threads against clones of an [`osn_client::SharedOsn`]. This module
+//! keeps what they share: the per-walker RNG stream derivation
+//! ([`stream_seed`]) and the pooled trace shape ([`MultiWalkTrace`]).
 //!
 //! Because the walkers are independent chains with the same stationary
 //! distribution, the pooled samples feed the usual estimators unchanged, and
 //! multi-chain diagnostics (`osn_estimate::diagnostics::split_rhat`) become
 //! applicable.
 
-use osn_client::batch::BatchOsnClient;
-use osn_client::{OsnClient, QueryStats};
-use osn_estimate::RatioEstimator;
 use osn_graph::NodeId;
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha12Rng;
-
-use crate::circulation::HistoryBackend;
-use crate::orchestrator::{drive_coalesced, drive_round_robin, Never, WalkOrchestrator};
-use crate::walker::RandomWalk;
-
-pub use crate::orchestrator::DEFAULT_NODE_ATTEMPT_CAP;
 
 /// Outcome of a multi-walker run.
 #[derive(Clone, Debug)]
@@ -86,54 +54,6 @@ impl MultiWalkTrace {
     }
 }
 
-/// Drives several walkers round-robin against one shared client.
-pub struct MultiWalkSession {
-    max_steps_per_walker: usize,
-    seed: u64,
-}
-
-impl MultiWalkSession {
-    /// Each walker performs at most `max_steps_per_walker` transitions.
-    pub fn new(max_steps_per_walker: usize, seed: u64) -> Self {
-        MultiWalkSession {
-            max_steps_per_walker,
-            seed,
-        }
-    }
-
-    /// Run all walkers until each hits its step cap or the shared budget
-    /// refuses further queries. Round-robin interleaving keeps the cache
-    /// shared fairly; a walker that hits the budget stops while others may
-    /// continue on cached territory.
-    pub fn run<C: OsnClient>(
-        &self,
-        walkers: &mut [Box<dyn RandomWalk + Send>],
-        client: &mut C,
-    ) -> MultiWalkTrace {
-        // Historical seeding of this driver, preserved for replayability
-        // (predates the SplitMix64 streams of `WalkOrchestrator`).
-        let mut rngs: Vec<ChaCha12Rng> = (0..walkers.len())
-            .map(|i| ChaCha12Rng::seed_from_u64(self.seed.wrapping_add(i as u64 * 0x9e37)))
-            .collect();
-        let mut refs: Vec<&mut dyn RandomWalk> = walkers
-            .iter_mut()
-            .map(|w| w.as_mut() as &mut dyn RandomWalk)
-            .collect();
-        let outcome = drive_round_robin(
-            client,
-            &mut refs,
-            &mut rngs,
-            self.max_steps_per_walker,
-            None::<&fn(NodeId) -> f64>,
-            &Never,
-        );
-        MultiWalkTrace {
-            per_walker: outcome.cells.into_iter().map(|c| c.trace).collect(),
-            stats: client.stats(),
-        }
-    }
-}
-
 /// SplitMix64-derived RNG seed for stream `walker` of run `seed` —
 /// well-spread and stable across platforms and thread schedules. Delegates
 /// to [`osn_graph::mix::splitmix64_stream`], the workspace's single seed
@@ -143,326 +63,41 @@ pub fn stream_seed(seed: u64, walker: u64) -> u64 {
     osn_graph::mix::splitmix64_stream(seed, walker)
 }
 
-/// Outcome of a [`MultiWalkRunner`] run: the per-walker traces plus the
-/// merged estimate.
-#[derive(Clone, Debug)]
-pub struct MultiWalkReport {
-    /// Per-walker visit sequences and final shared-client statistics.
-    pub trace: MultiWalkTrace,
-    /// The per-walker ratio estimators merged in walker-index order.
-    pub estimate: RatioEstimator,
-}
-
-/// Schedules `k` seeded walkers over `k` scoped OS threads against cloned
-/// handles of one thread-safe client — the compatibility wrapper over
-/// [`WalkOrchestrator::run_threaded`] with the
-/// [`Never`] restart policy.
-///
-/// Built for [`osn_client::SharedOsn`]: every clone shares the snapshot,
-/// the lock-striped cache, the global accounting, and (optionally) an atomic
-/// unique-query budget, so `k` walkers cover ground concurrently without
-/// multiplying the unique-query bill. Any `OsnClient + Clone + Send` works;
-/// for clients whose clones do *not* share state, the report's `stats` field
-/// only reflects the calling handle.
-///
-/// ## Determinism
-///
-/// Walker `i` draws from its own SplitMix64-derived RNG stream, and neighbor
-/// lists come from an immutable snapshot, so without a shared budget each
-/// per-walker trace is **bit-identical** to running that walker alone with
-/// the same derived seed — thread scheduling cannot perturb results. With a
-/// shared budget, *which* walker gets the last queries depends on
-/// scheduling; totals remain exact.
-#[derive(Clone, Copy, Debug)]
-pub struct MultiWalkRunner {
-    walkers: usize,
-    max_steps_per_walker: usize,
-    seed: u64,
-    backend: HistoryBackend,
-}
-
-impl MultiWalkRunner {
-    /// Run `walkers` concurrent walkers, each performing at most
-    /// `max_steps_per_walker` transitions, with RNG streams derived from
-    /// `seed`. History-aware walkers use the default (arena) backend; see
-    /// [`with_backend`](Self::with_backend).
-    pub fn new(walkers: usize, max_steps_per_walker: usize, seed: u64) -> Self {
-        MultiWalkRunner {
-            walkers: walkers.max(1),
-            max_steps_per_walker,
-            seed,
-            backend: HistoryBackend::default(),
-        }
-    }
-
-    /// Choose the history backend handed to the walker factory (the
-    /// ablation knob of the backend benches).
-    #[must_use]
-    pub fn with_backend(mut self, backend: HistoryBackend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// The history backend handed to the walker factory.
-    pub fn backend(&self) -> HistoryBackend {
-        self.backend
-    }
-
-    /// Number of walker threads this runner will spawn.
-    pub fn walker_count(&self) -> usize {
-        self.walkers
-    }
-
-    /// The deterministic RNG seed for walker `i`'s private stream.
-    pub fn walker_seed(&self, i: usize) -> u64 {
-        stream_seed(self.seed, i as u64)
-    }
-
-    /// The equivalent unified-API handle: same fleet, step cap, seed
-    /// derivation, and history backend. `runner.run(c, w, f)` is
-    /// `runner.orchestrator().run_threaded(c, w, f, &Never)` minus the
-    /// restart/stop reporting.
-    pub fn orchestrator(&self) -> WalkOrchestrator {
-        WalkOrchestrator::new(self.walkers, self.max_steps_per_walker, self.seed)
-            .with_backend(self.backend)
-    }
-
-    /// Run all walkers to their step cap (or until a shared budget refuses
-    /// further queries), then merge the per-walker estimates.
-    ///
-    /// `make_walker(i, backend)` builds walker `i` (choose spread-out start
-    /// nodes for disconnected or clustered graphs), instantiating
-    /// history-aware walkers on `backend` — the runner's configured
-    /// [`HistoryBackend`], threaded through so a single knob ablates the
-    /// whole fleet; `value(v)` is the quantity being estimated at node `v`.
-    /// Each walker thread pushes `(value(v), degree(v))` into its own
-    /// [`RatioEstimator`] — degrees come free via
-    /// [`OsnClient::peek_degree`] — and the estimators are merged with
-    /// [`RatioEstimator::merge`] in walker-index order after the join.
-    ///
-    /// # Panics
-    /// Propagates a panic from any walker thread after all threads joined.
-    pub fn run<C, W, F>(&self, client: &C, make_walker: W, value: F) -> MultiWalkReport
-    where
-        C: OsnClient + Clone + Send,
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> + Sync,
-        F: Fn(NodeId) -> f64 + Sync,
-    {
-        let report = self
-            .orchestrator()
-            .run_threaded(client, make_walker, value, &Never);
-        MultiWalkReport {
-            trace: report.trace,
-            estimate: report.estimate,
-        }
-    }
-}
-
-/// Outcome of a batched ([`CoalescingDispatcher`]) run.
-#[derive(Clone, Debug)]
-pub struct BatchDispatchReport {
-    /// Per-walker visit sequences plus **walker-side** accounting: `issued`
-    /// counts every neighbor query a walker made, `unique`/`cache_hits`
-    /// split them by first-vs-repeat across all walkers — the same shape a
-    /// serial run's client reports, so cross-mode comparisons are direct.
-    pub trace: MultiWalkTrace,
-    /// Per-walker ratio estimators merged in walker-index order.
-    pub estimate: RatioEstimator,
-    /// Why each walker stopped, in walker order ([`crate::WalkStop`]).
-    pub stops: Vec<crate::WalkStop>,
-    /// Dispatch rounds executed (each round: gather → dedup → fetch → step).
-    pub rounds: usize,
-    /// **Interface-side** accounting from the batch client: one entry per
-    /// id delivered by the endpoint. `interface.unique` is the charged cost
-    /// and always equals `trace.stats.unique` when the client started
-    /// fresh; `interface.issued` is smaller than `trace.stats.issued`
-    /// because walker revisits are absorbed by the dispatcher cache.
-    pub interface: QueryStats,
-    /// Nodes the budget refused (each terminated the walkers parked on it).
-    pub refused_nodes: usize,
-    /// Nodes abandoned after [`CoalescingDispatcher::node_attempt_cap`]
-    /// permanently dropped requests.
-    pub abandoned_nodes: usize,
-}
-
-/// Drives `k` walkers against a batch endpoint through a coalescing queue —
-/// the compatibility wrapper over the orchestrator's coalesced driver with
-/// the [`Never`] restart policy.
-///
-/// Each **round**:
-///
-/// 1. *gather* — every live walker parks the node it needs next (its
-///    current position: each walker in this crate issues exactly one
-///    `neighbors(current)` query per step);
-/// 2. *dedup* — parked ids are deduplicated, in walker order, against each
-///    other and against the dispatcher's cache of already-fetched lists;
-/// 3. *charge* — the unique ids are chunked into batches of at most `B`
-///    and submitted within the endpoint's in-flight window; drops are
-///    resubmitted (bounded by [`Self::node_attempt_cap`]), budget refusals
-///    are recorded per node;
-/// 4. *fan-out* — each walker steps against a cache-backed client view,
-///    consuming **its own RNG stream**, so trajectories are bit-identical
-///    to serial replay no matter how requests were batched.
-///
-/// The dispatcher is single-threaded and fully deterministic (batch
-/// composition included), which is what lets the golden-trace and
-/// cross-mode equivalence suites pin its behavior.
-#[derive(Clone, Copy, Debug)]
-pub struct CoalescingDispatcher {
-    max_steps_per_walker: usize,
-    node_attempt_cap: u32,
-}
-
-impl CoalescingDispatcher {
-    /// Each walker performs at most `max_steps_per_walker` transitions.
-    pub fn new(max_steps_per_walker: usize) -> Self {
-        CoalescingDispatcher {
-            max_steps_per_walker,
-            node_attempt_cap: DEFAULT_NODE_ATTEMPT_CAP,
-        }
-    }
-
-    /// Override the resubmission cap for permanently dropped nodes
-    /// (clamped to at least 1).
-    #[must_use]
-    pub fn with_node_attempt_cap(mut self, cap: u32) -> Self {
-        self.node_attempt_cap = cap.max(1);
-        self
-    }
-
-    /// Resubmissions allowed per node before it is abandoned.
-    pub fn node_attempt_cap(&self) -> u32 {
-        self.node_attempt_cap
-    }
-
-    /// Run all walkers to their step cap (or until the budget/interface
-    /// refuses the node they are parked on), merging per-walker estimates
-    /// in walker-index order. `rngs[i]` is walker `i`'s private stream;
-    /// `value(v)` is the quantity being estimated at node `v`.
-    ///
-    /// # Panics
-    /// If `walkers` and `rngs` lengths differ.
-    pub fn run<B, R, F>(
-        &self,
-        client: &mut B,
-        walkers: &mut [Box<dyn RandomWalk + Send>],
-        rngs: &mut [R],
-        value: F,
-    ) -> BatchDispatchReport
-    where
-        B: BatchOsnClient,
-        R: RngCore,
-        F: Fn(NodeId) -> f64,
-    {
-        let mut refs: Vec<&mut dyn RandomWalk> = walkers
-            .iter_mut()
-            .map(|w| w.as_mut() as &mut dyn RandomWalk)
-            .collect();
-        let outcome = drive_coalesced(
-            client,
-            &mut refs,
-            rngs,
-            self.max_steps_per_walker,
-            self.node_attempt_cap,
-            Some(&value),
-            &Never,
-        );
-        // One fold for cells -> (traces, merged estimate, stops) across the
-        // whole workspace: reuse the orchestrator's, then reshape.
-        let report = crate::orchestrator::OrchestratorReport::from_cells(
-            outcome.cells,
-            outcome.restarts,
-            outcome.rounds,
-            outcome.state.stats,
-        );
-        BatchDispatchReport {
-            trace: report.trace,
-            estimate: report.estimate,
-            stops: report.stops,
-            rounds: report.rounds,
-            interface: outcome.interface,
-            refused_nodes: outcome.state.refused_nodes,
-            abandoned_nodes: outcome.state.abandoned_nodes,
-        }
-    }
-}
-
-impl MultiWalkRunner {
-    /// Run the same fleet through the batched path: one
-    /// [`CoalescingDispatcher`] round-trip per step wave instead of one OS
-    /// thread per walker. Walker `i` consumes the identical SplitMix64 RNG
-    /// stream [`Self::walker_seed`] uses in the threaded mode, so per-walker
-    /// traces are **bit-identical across the two modes** (absent a budget);
-    /// what changes is the interface traffic — deduplicated, batched,
-    /// rate-limit-aware.
-    pub fn run_batched<B, W, F>(
-        &self,
-        client: &mut B,
-        make_walker: W,
-        value: F,
-    ) -> BatchDispatchReport
-    where
-        B: BatchOsnClient,
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-        F: Fn(NodeId) -> f64,
-    {
-        let mut walkers: Vec<Box<dyn RandomWalk + Send>> = (0..self.walkers)
-            .map(|i| make_walker(i, self.backend))
-            .collect();
-        let mut rngs: Vec<ChaCha12Rng> = (0..self.walkers)
-            .map(|i| ChaCha12Rng::seed_from_u64(self.walker_seed(i)))
-            .collect();
-        CoalescingDispatcher::new(self.max_steps_per_walker).run(
-            client,
-            &mut walkers,
-            &mut rngs,
-            value,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::circulation::HistoryBackend;
+    use crate::orchestrator::{Never, WalkOrchestrator};
+    use crate::walker::RandomWalk;
     use crate::walkers::{Cnrw, Srw};
-    use osn_client::{BudgetedClient, SimulatedOsn};
+    use osn_client::batch::{BatchConfig, BatchOsnClient, SimulatedBatchOsn};
+    use osn_client::{OsnClient, SharedOsn, SimulatedOsn};
+    use osn_estimate::RatioEstimator;
     use osn_graph::generators::barbell;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha12Rng;
 
-    fn walkers(k: usize) -> Vec<Box<dyn RandomWalk + Send>> {
-        (0..k)
-            .map(|i| {
-                if i % 2 == 0 {
-                    Box::new(Srw::new(NodeId(i as u32))) as Box<dyn RandomWalk + Send>
-                } else {
-                    Box::new(Cnrw::new(NodeId(i as u32))) as Box<dyn RandomWalk + Send>
-                }
-            })
-            .collect()
-    }
-
-    #[test]
-    fn walkers_share_cache_and_budget() {
-        let g = barbell(8, 8).unwrap();
-        let n = g.node_count();
-        let client = SimulatedOsn::from_graph(g);
-        let mut client = BudgetedClient::new(client, 10, n);
-        let mut ws = walkers(4);
-        let trace = MultiWalkSession::new(500, 1).run(&mut ws, &mut client);
-        assert!(trace.stats.unique <= 10);
-        assert_eq!(trace.per_walker.len(), 4);
-        // Pooling works.
-        assert_eq!(trace.pooled().count(), trace.total_steps());
+    fn mixed(i: usize, backend: HistoryBackend) -> Box<dyn RandomWalk + Send> {
+        if i.is_multiple_of(2) {
+            Box::new(Srw::new(NodeId(i as u32)))
+        } else {
+            Box::new(Cnrw::with_backend(NodeId(i as u32), backend))
+        }
     }
 
     #[test]
     fn chains_feed_diagnostics_shape() {
-        let g = barbell(6, 6).unwrap();
-        let mut client = SimulatedOsn::from_graph(g);
-        let mut ws = walkers(3);
-        let trace = MultiWalkSession::new(200, 2).run(&mut ws, &mut client);
+        let mut client = SimulatedBatchOsn::new(
+            SimulatedOsn::from_graph(barbell(6, 6).unwrap()),
+            BatchConfig::new(3),
+        );
+        let report =
+            WalkOrchestrator::new(3, 200, 2).run_reactor(&mut client, mixed, |_| 1.0, &Never);
+        let trace = report.trace;
         let chains = trace.chains(|v| v.index() as f64);
         assert_eq!(chains.len(), 3);
         assert!(chains.iter().all(|c| c.len() == 200));
+        assert_eq!(trace.pooled().count(), trace.total_steps());
     }
 
     #[test]
@@ -470,43 +105,50 @@ mod tests {
         let g = barbell(30, 30).unwrap();
         let n = g.node_count();
         let coverage = |k: usize| {
-            let client = SimulatedOsn::from_graph(g.clone());
-            let mut client = BudgetedClient::new(client, 25, n);
-            let mut ws: Vec<Box<dyn RandomWalk + Send>> = (0..k)
-                .map(|i| {
-                    // Spread starts across both bells.
-                    let start = NodeId(((i * 17) % n) as u32);
-                    Box::new(Cnrw::new(start)) as Box<dyn RandomWalk + Send>
-                })
-                .collect();
-            let trace = MultiWalkSession::new(5_000, 3).run(&mut ws, &mut client);
-            let mut seen: std::collections::HashSet<NodeId> = trace.pooled().collect();
-            for w in &trace.per_walker {
-                seen.extend(w.iter().copied());
-            }
-            seen.len()
+            let mut client = SimulatedBatchOsn::configured(
+                SimulatedOsn::from_graph(g.clone()),
+                BatchConfig::new(k),
+                Some(25),
+            );
+            let report = WalkOrchestrator::new(k, 5_000, 3).run_reactor(
+                &mut client,
+                // Spread starts across both bells.
+                |i, backend| Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend)),
+                |_| 1.0,
+                &Never,
+            );
+            assert!(report.trace.stats.unique <= 25);
+            report
+                .trace
+                .pooled()
+                .collect::<std::collections::HashSet<_>>()
+                .len()
         };
         // With starts in both bells, several walkers reach nodes a single
         // trapped walker cannot within the same unique-query budget.
         assert!(coverage(4) >= coverage(1));
     }
 
-    use osn_client::SharedOsn;
-
     fn shared_client(stripes: usize) -> SharedOsn {
         let g = barbell(10, 10).unwrap();
         SharedOsn::with_stripes(SimulatedOsn::from_graph(g), stripes)
     }
 
+    fn spread_cnrw(
+        step: u32,
+    ) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send> + Sync {
+        move |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * step), backend))
+    }
+
     #[test]
-    fn runner_traces_are_deterministic_across_runs() {
+    fn threaded_traces_are_deterministic_across_runs() {
         let run = || {
-            let client = shared_client(8);
-            MultiWalkRunner::new(4, 300, 42)
-                .run(
-                    &client,
-                    |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 5), backend)),
+            WalkOrchestrator::new(4, 300, 42)
+                .run_threaded(
+                    &shared_client(8),
+                    spread_cnrw(5),
                     |v| v.index() as f64,
+                    &Never,
                 )
                 .trace
                 .per_walker
@@ -515,21 +157,21 @@ mod tests {
     }
 
     #[test]
-    fn runner_matches_serial_replay_bit_identically() {
+    fn threaded_matches_serial_replay_bit_identically() {
         // Each walker thread must produce exactly the trace a serial run
         // with the same derived RNG stream produces — thread scheduling and
         // cache sharing cannot perturb trajectories (only accounting).
-        let runner = MultiWalkRunner::new(3, 250, 7);
-        let client = shared_client(16);
-        let report = runner.run(
-            &client,
-            |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 3), backend)),
+        let orch = WalkOrchestrator::new(3, 250, 7);
+        let report = orch.run_threaded(
+            &shared_client(16),
+            spread_cnrw(3),
             |v| v.index() as f64,
+            &Never,
         );
         for i in 0..3 {
             let mut serial_client = shared_client(1);
             let mut walker = Cnrw::new(NodeId(i as u32 * 3));
-            let mut rng = ChaCha12Rng::seed_from_u64(runner.walker_seed(i));
+            let mut rng = ChaCha12Rng::seed_from_u64(orch.walker_seed(i));
             let mut serial = Vec::new();
             for _ in 0..250 {
                 serial.push(walker.step(&mut serial_client, &mut rng).unwrap());
@@ -539,19 +181,19 @@ mod tests {
     }
 
     #[test]
-    fn runner_merges_estimates_in_index_order() {
+    fn threaded_merges_estimates_in_index_order() {
         // The merged estimator must equal merging per-walker estimators by
         // hand in walker order (bit-identical f64 accumulation).
         let client = shared_client(8);
-        let runner = MultiWalkRunner::new(4, 200, 9);
         let degree_of = {
             let g = client.network().graph.clone();
             move |v: NodeId| g.degree(v)
         };
-        let report = runner.run(
+        let report = WalkOrchestrator::new(4, 200, 9).run_threaded(
             &client,
             |i, _| Box::new(Srw::new(NodeId(i as u32))),
             |v| v.index() as f64,
+            &Never,
         );
         let mut by_hand = RatioEstimator::new();
         for trace in &report.trace.per_walker {
@@ -566,19 +208,18 @@ mod tests {
     }
 
     #[test]
-    fn runner_respects_shared_budget() {
+    fn threaded_respects_shared_budget() {
         let g = barbell(12, 12).unwrap();
         let client = SharedOsn::configured(SimulatedOsn::from_graph(g), 8, Some(15));
-        let report = MultiWalkRunner::new(4, 10_000, 1).run(
+        let report = WalkOrchestrator::new(4, 10_000, 1).run_threaded(
             &client,
-            |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 7), backend)),
+            spread_cnrw(7),
             |v| v.index() as f64,
+            &Never,
         );
         assert!(report.trace.stats.unique <= 15);
         assert_eq!(client.remaining_budget(), Some(0));
     }
-
-    use osn_client::batch::{BatchConfig, SimulatedBatchOsn};
 
     fn batch_client(config: BatchConfig) -> SimulatedBatchOsn {
         let g = barbell(10, 10).unwrap();
@@ -586,23 +227,21 @@ mod tests {
     }
 
     #[test]
-    fn batched_traces_match_threaded_runner_bit_identically() {
+    fn reactor_traces_match_threaded_bit_identically() {
         // The headline cross-mode property: for every batch size the
-        // dispatcher replays exactly the trajectories the threaded runner
+        // reactor replays exactly the trajectories the threaded backend
         // produces — batching only reshapes interface traffic.
-        let runner = MultiWalkRunner::new(4, 250, 42);
-        let threaded = runner.run(
+        let orch = WalkOrchestrator::new(4, 250, 42);
+        let threaded = orch.run_threaded(
             &shared_client(8),
-            |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 5), backend)),
+            spread_cnrw(5),
             |v| v.index() as f64,
+            &Never,
         );
         for batch_size in [1usize, 4, 16] {
             let mut client = batch_client(BatchConfig::new(batch_size).with_in_flight(2));
-            let report = runner.run_batched(
-                &mut client,
-                |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 5), backend)),
-                |v| v.index() as f64,
-            );
+            let report =
+                orch.run_reactor(&mut client, spread_cnrw(5), |v| v.index() as f64, &Never);
             assert_eq!(
                 report.trace.per_walker, threaded.trace.per_walker,
                 "batch_size={batch_size}"
@@ -614,13 +253,15 @@ mod tests {
     }
 
     #[test]
-    fn batched_interface_charges_each_unique_node_once() {
+    fn reactor_interface_charges_each_unique_node_once() {
         let mut client = batch_client(BatchConfig::new(4));
-        let report = MultiWalkRunner::new(4, 200, 3).run_batched(
+        let report = WalkOrchestrator::new(4, 200, 3).run_reactor(
             &mut client,
-            |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 3), backend)),
+            spread_cnrw(3),
             |v| v.index() as f64,
+            &Never,
         );
+        let interface = report.interface.expect("reactor reports interface stats");
         // Interface-side unique == distinct nodes fetched: every start
         // (fetched for the first step) plus every node a walker departed
         // from (a walker's final position is never fetched).
@@ -628,8 +269,8 @@ mod tests {
         for trace in &report.trace.per_walker {
             distinct.extend(trace[..trace.len() - 1].iter().map(|v| v.0));
         }
-        assert_eq!(report.interface.unique, distinct.len() as u64);
-        assert_eq!(report.interface.unique, report.trace.stats.unique);
+        assert_eq!(interface.unique, distinct.len() as u64);
+        assert_eq!(interface.unique, report.trace.stats.unique);
         // Walker-side accounting has serial shape: one issued query per
         // step, revisits as cache hits.
         assert_eq!(report.trace.stats.issued, 4 * 200);
@@ -640,19 +281,24 @@ mod tests {
     }
 
     #[test]
-    fn batched_budget_terminates_walkers_cleanly() {
+    fn reactor_budget_terminates_walkers_cleanly() {
         let g = barbell(12, 12).unwrap();
         let mut client = SimulatedBatchOsn::configured(
             SimulatedOsn::from_graph(g),
             BatchConfig::new(4),
             Some(9),
         );
-        let report = MultiWalkRunner::new(4, 10_000, 1).run_batched(
+        let report = WalkOrchestrator::new(4, 10_000, 1).run_reactor(
             &mut client,
-            |i, backend| Box::new(Cnrw::with_backend(NodeId(i as u32 * 7), backend)),
+            spread_cnrw(7),
             |v| v.index() as f64,
+            &Never,
         );
-        assert_eq!(report.interface.unique, 9, "exactly the budget");
+        assert_eq!(
+            report.interface.map(|s| s.unique),
+            Some(9),
+            "exactly the budget"
+        );
         assert_eq!(client.remaining_budget(), Some(0));
         assert!(report.refused_nodes > 0);
         // Every walker terminated (no walker is lost in limbo) and each
@@ -664,25 +310,26 @@ mod tests {
     }
 
     #[test]
-    fn single_walker_runner_equals_shared_budgeted_serial_run() {
-        // K = 1 closes the loop: the parallel runner on a 64-stripe cache is
-        // bit-identical to the same walk driven serially against the old
-        // single-lock configuration, budget cut-off included.
+    fn single_walker_threaded_equals_shared_budgeted_serial_run() {
+        // K = 1 closes the loop: the threaded backend on a 64-stripe cache
+        // is bit-identical to the same walk driven serially against the
+        // old single-lock configuration, budget cut-off included.
         let g = barbell(9, 9).unwrap();
         let budget = 12;
-        let runner = MultiWalkRunner::new(1, 5_000, 33);
+        let orch = WalkOrchestrator::new(1, 5_000, 33);
 
         let striped = SharedOsn::configured(SimulatedOsn::from_graph(g.clone()), 64, Some(budget));
-        let parallel = runner.run(
+        let parallel = orch.run_threaded(
             &striped,
             |_, b| Box::new(Cnrw::with_backend(NodeId(0), b)),
             |_| 1.0,
+            &Never,
         );
 
         let single = SharedOsn::configured(SimulatedOsn::from_graph(g), 1, Some(budget));
         let mut client = single.clone();
         let mut walker = Cnrw::new(NodeId(0));
-        let mut rng = ChaCha12Rng::seed_from_u64(runner.walker_seed(0));
+        let mut rng = ChaCha12Rng::seed_from_u64(orch.walker_seed(0));
         let mut serial = Vec::new();
         for _ in 0..5_000 {
             match walker.step(&mut client, &mut rng) {

@@ -1,28 +1,24 @@
-//! The unified walk orchestrator: **one execution core** behind every run
-//! mode in this workspace.
+//! The unified walk orchestrator: **one execution core** behind every
+//! multi-walker run in this workspace.
 //!
-//! Before this module existed the repo had drifted into three hand-rolled
-//! step loops — the serial [`crate::WalkSession`], the threaded
-//! [`crate::MultiWalkRunner`], and the batched
-//! [`crate::CoalescingDispatcher`] — with no shared place to put restart or
-//! termination policy. [`WalkOrchestrator`] deduplicates them: the per-step
-//! bookkeeping (trace recording, estimator pushes, stop accounting, policy
-//! observation) lives once in this module's walker-cell core, and the three
-//! *execution backends* only differ in how steps are scheduled:
+//! [`WalkOrchestrator`] owns the fleet spec (size, step cap, seed, history
+//! backend) and the per-step bookkeeping — trace recording, estimator
+//! pushes, stop accounting, policy observation — in this module's
+//! walker-cell core. Two *execution backends* schedule steps into it:
 //!
 //! | Backend | Entry point | Scheduling |
 //! |---|---|---|
-//! | **Serial** | [`WalkOrchestrator::run_serial`] | round-robin waves on the calling thread against any [`OsnClient`] |
+//! | **Reactor** | [`WalkOrchestrator::run_reactor`] | poll-driven event loop on the calling thread: walkers park as [`crate::reactor::WalkerFsm`] state machines on in-flight batches of a [`BatchOsnClient`], one completion event at a time (see [`crate::reactor`]) |
 //! | **Threaded** | [`WalkOrchestrator::run_threaded`] | one scoped OS thread per walker over clones of a thread-safe client (built for [`osn_client::SharedOsn`]) |
-//! | **Coalesced** | [`WalkOrchestrator::run_coalesced`] | round-based queue → dedup → charge → fan-out against a [`BatchOsnClient`] |
-//! | **Reactor** | [`WalkOrchestrator::run_reactor`] | poll-driven event loop: walkers park as [`crate::reactor::WalkerFsm`] state machines on in-flight batches, one completion event at a time (see [`crate::reactor`]) |
 //!
-//! Every backend takes a [`RestartPolicy`]:
+//! A synchronous [`OsnClient`] fleet runs on the reactor by wrapping the
+//! client in a zero-latency [`osn_client::SimulatedBatchOsn`] whose batch
+//! size is the fleet size; [`crate::WalkSession`] remains the single-walk
+//! loop. Every backend takes a [`RestartPolicy`]:
 //!
-//! * [`Never`] — the identity policy. Traces are **bit-identical** to the
-//!   pre-orchestrator loops (pinned by the golden fixtures and cross-mode
-//!   equivalence suites); observation hooks are skipped entirely, so the
-//!   unified loop costs nothing it did not already pay.
+//! * [`Never`] — the identity policy. Observation hooks are skipped
+//!   entirely, so the policy-free loop costs nothing extra; traces are
+//!   pinned by the golden fixtures under `tests/fixtures/`.
 //! * [`WorkStealing`] — walkers publish the nodes they walk through into a
 //!   lock-striped [`SharedFrontier`]; every `check_every` steps a walker
 //!   whose recent window discovered nothing new (component exhausted) or
@@ -34,15 +30,13 @@
 //!
 //! ## Determinism
 //!
-//! The serial and coalesced backends consult the policy at **round
-//! boundaries** (all active walkers have stepped equally often), so given a
-//! seed the whole run — restart schedule included — is deterministic, and
-//! the two backends produce the *same* schedule. In the coalesced backend
-//! the boundary sits **before** the gather phase, so a restarted walker's
-//! first fetch rides the next coalesced batch like any other request (the
-//! dispatcher hook; see [`BatchOsnClient::is_cached`]). The threaded
-//! backend checks after each step on each walker's own thread: per-walker
-//! traces stay scheduling-independent under [`Never`], but under
+//! The reactor consults the policy after every completion event, in
+//! walker-index order, before the walkers that stepped are parked on their
+//! next node — so a restarted walker's first fetch rides the next batch
+//! like any other request (see [`BatchOsnClient::is_cached`]). Given a seed
+//! the whole run, restart schedule included, is deterministic. The
+//! threaded backend checks after each step on each walker's own thread:
+//! per-walker traces stay scheduling-independent under [`Never`], but under
 //! [`WorkStealing`] the interleaving of frontier publishes — and therefore
 //! the steal outcomes — depends on thread timing.
 
@@ -400,7 +394,7 @@ impl RestartPolicy for WorkStealing {
     }
 }
 
-/// Per-walker bookkeeping shared by every execution backend: the trace, the
+/// Per-walker bookkeeping shared by both execution backends: the trace, the
 /// running estimator, and why (if) the walker stopped. This — plus
 /// [`advance_walker`] and [`maybe_restart`] below — *is* the unified
 /// execution core; the drivers only schedule calls into it.
@@ -411,14 +405,12 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    /// `capacity_hint = 0` starts the trace empty (the historical behavior
-    /// of the multi-walker loops — a budgeted fleet may stop after a few
-    /// steps, so preallocating `max_steps` per walker would waste memory);
-    /// the single-walker session path passes its step cap, as `WalkSession`
-    /// always did.
-    pub(crate) fn new(capacity_hint: usize) -> Self {
+    /// An empty cell. The trace starts unallocated: a budgeted fleet may
+    /// stop after a few steps, so preallocating `max_steps` per walker
+    /// would waste memory.
+    pub(crate) fn new() -> Self {
         Cell {
-            trace: Vec::with_capacity(capacity_hint.min(1 << 20)),
+            trace: Vec::new(),
             est: RatioEstimator::new(),
             stop: None,
         }
@@ -430,16 +422,13 @@ impl Cell {
 }
 
 /// One transition of walker `i`: step, record, observe. The single place
-/// where a walker meets a client — every backend funnels through here.
-/// `value: None` skips estimator maintenance entirely (the trace-only
-/// drivers `WalkSession`/`MultiWalkSession` — SRW steps in a handful of
-/// nanoseconds, so even one spurious degree peek per step is measurable).
+/// where a fleet walker meets a client — both backends funnel through here.
 pub(crate) fn advance_walker<C, R, F, P>(
     i: usize,
     walker: &mut dyn RandomWalk,
     rng: &mut R,
     client: &mut C,
-    value: Option<&F>,
+    value: &F,
     policy: &P,
     cell: &mut Cell,
 ) where
@@ -451,14 +440,10 @@ pub(crate) fn advance_walker<C, R, F, P>(
     let from = walker.current();
     match walker.step(client, rng) {
         Ok(v) => {
-            if let Some(value) = value {
-                let fv = value(v);
-                cell.est.push(fv, client.peek_degree(v));
-                if policy.enabled() {
-                    policy.observe_step(i, from, client.peek_degree(from), v, fv);
-                }
-            } else if policy.enabled() {
-                policy.observe_step(i, from, client.peek_degree(from), v, 0.0);
+            let fv = value(v);
+            cell.est.push(fv, client.peek_degree(v));
+            if policy.enabled() {
+                policy.observe_step(i, from, client.peek_degree(from), v, fv);
             }
             cell.trace.push(v);
         }
@@ -498,8 +483,8 @@ pub(crate) fn maybe_restart<P>(
 
 /// Offer a just-refused walker to the policy for rescue: on success its
 /// stop is cleared, the relocation performed and recorded, and the walker
-/// steps again from the **next** scheduling wave (every backend charges a
-/// refusal one lost step, keeping the round-based schedules aligned).
+/// steps again from the **next** completion event (a refusal costs the
+/// walker one lost event).
 pub(crate) fn maybe_rescue<P>(
     i: usize,
     walker: &mut dyn RandomWalk,
@@ -528,158 +513,14 @@ pub(crate) fn maybe_rescue<P>(
     }
 }
 
-/// Outcome of a round-based driver ([`drive_round_robin`]).
-pub(crate) struct RoundOutcome {
-    pub(crate) cells: Vec<Cell>,
-    pub(crate) restarts: Vec<RestartEvent>,
-    pub(crate) rounds: usize,
-}
-
-/// The serial driver: step every live walker once per round (walker-index
-/// order), consulting the policy at round boundaries. With one walker and
-/// [`Never`] this degenerates to exactly the classic tight walk loop.
-pub(crate) fn drive_round_robin<C, R, F, P>(
-    client: &mut C,
-    walkers: &mut [&mut dyn RandomWalk],
-    rngs: &mut [R],
-    max_steps: usize,
-    value: Option<&F>,
-    policy: &P,
-) -> RoundOutcome
-where
-    C: OsnClient,
-    R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
-    P: RestartPolicy + ?Sized,
-{
-    let k = walkers.len();
-    assert_eq!(k, rngs.len(), "one RNG stream per walker");
-    policy.begin_run(k);
-    let hint = if k == 1 { max_steps } else { 0 };
-    let mut cells: Vec<Cell> = (0..k).map(|_| Cell::new(hint)).collect();
-    let mut restarts = Vec::new();
-    let mut rounds = 0usize;
-    if k == 1 && !policy.enabled() {
-        // Single walker, inert policy — the `WalkSession` shape. Skip the
-        // active-set machinery: at SRW speeds (a handful of nanoseconds
-        // per step) even one retained-index scan per round is measurable.
-        let cell = &mut cells[0];
-        while cell.live(max_steps) {
-            rounds += 1;
-            advance_walker(
-                0,
-                &mut *walkers[0],
-                &mut rngs[0],
-                client,
-                value,
-                policy,
-                cell,
-            );
-        }
-        return RoundOutcome {
-            cells,
-            restarts,
-            rounds,
-        };
-    }
-    let mut active: Vec<usize> = (0..k).collect();
-    while serial_round(
-        client,
-        walkers,
-        rngs,
-        max_steps,
-        value,
-        policy,
-        &mut cells,
-        &mut restarts,
-        &mut active,
-    ) {
-        rounds += 1;
-    }
-    RoundOutcome {
-        cells,
-        restarts,
-        rounds,
-    }
-}
-
-/// One scheduling wave of the serial driver: retain the live walkers,
-/// consult the policy, step each live walker once. Returns `false` (doing
-/// nothing) once every walker is done. Shared by [`drive_round_robin`] and
-/// the resumable [`SerialWalkRun`], so the sliced execution path cannot
-/// drift from the one-shot driver.
-#[allow(clippy::too_many_arguments)]
-fn serial_round<C, R, F, P>(
-    client: &mut C,
-    walkers: &mut [&mut dyn RandomWalk],
-    rngs: &mut [R],
-    max_steps: usize,
-    value: Option<&F>,
-    policy: &P,
-    cells: &mut [Cell],
-    restarts: &mut Vec<RestartEvent>,
-    active: &mut Vec<usize>,
-) -> bool
-where
-    C: OsnClient,
-    R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
-    P: RestartPolicy + ?Sized,
-{
-    active.retain(|&i| cells[i].live(max_steps));
-    if active.is_empty() {
-        return false;
-    }
-    if policy.enabled() {
-        for &i in &*active {
-            let cached = |u: NodeId| client.is_cached(u);
-            let degree_of = |u: NodeId| client.peek_degree(u);
-            maybe_restart(
-                i,
-                &mut *walkers[i],
-                &cells[i],
-                policy,
-                &degree_of,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    for &i in &*active {
-        advance_walker(
-            i,
-            &mut *walkers[i],
-            &mut rngs[i],
-            client,
-            value,
-            policy,
-            &mut cells[i],
-        );
-        if policy.enabled() && cells[i].stop.is_some() {
-            // Refused step (no transition performed): offer a rescue —
-            // the walker resumes from the next round if relocated.
-            let cached = |u: NodeId| client.is_cached(u);
-            maybe_rescue(
-                i,
-                &mut *walkers[i],
-                &mut cells[i],
-                policy,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    true
-}
-
 /// Dispatcher-level cap on resubmissions of a node whose requests keep
 /// coming back permanently dropped. Past it the node is abandoned and the
 /// walkers waiting on it terminate (with a budget-style error) instead of
 /// spinning forever against a dead interface.
 pub const DEFAULT_NODE_ATTEMPT_CAP: u32 = 32;
 
-/// Mutable bookkeeping shared by the coalesced driver loop and the
-/// per-walker [`PrefetchedClient`] views of one run.
+/// Mutable bookkeeping shared by the reactor loop and the per-walker
+/// [`PrefetchedClient`] views of one run.
 #[derive(Default)]
 pub(crate) struct DispatchState {
     /// Neighbor lists fetched so far (the dispatcher's shared cache).
@@ -755,7 +596,7 @@ pub(crate) fn fetch_all<B: BatchOsnClient>(
     }
 }
 
-/// The per-step client view the coalesced driver hands each walker:
+/// The per-step client view the reactor hands each walker:
 /// neighbor lists come from the dispatcher cache (walker-side accounting
 /// recorded), metadata peeks pass through to the endpoint for free. A query
 /// for a node that was *not* prefetched (no walker in this crate issues
@@ -818,221 +659,37 @@ impl<B: BatchOsnClient> OsnClient for PrefetchedClient<'_, B> {
     }
 }
 
-/// Outcome of the coalesced driver ([`drive_coalesced`]).
-pub(crate) struct CoalescedOutcome {
-    pub(crate) cells: Vec<Cell>,
-    pub(crate) restarts: Vec<RestartEvent>,
-    pub(crate) rounds: usize,
-    pub(crate) state: DispatchState,
-    /// Interface-side accounting delta for this run.
-    pub(crate) interface: QueryStats,
-}
-
-/// The coalesced driver: deterministic rounds of **policy → gather → dedup
-/// → charge → fan-out** against a batch endpoint. Identical to the serial
-/// driver's round structure, with the unique parked ids fanned out in
-/// window-respecting batches before the walkers step; the policy runs
-/// before the gather so a restarted walker's first fetch rides the same
-/// coalesced batch as everyone else's requests.
-pub(crate) fn drive_coalesced<B, R, F, P>(
-    client: &mut B,
-    walkers: &mut [&mut dyn RandomWalk],
-    rngs: &mut [R],
-    max_steps: usize,
-    node_attempt_cap: u32,
-    value: Option<&F>,
-    policy: &P,
-) -> CoalescedOutcome
-where
-    B: BatchOsnClient,
-    R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
-    P: RestartPolicy + ?Sized,
-{
-    let k = walkers.len();
-    assert_eq!(k, rngs.len(), "one RNG stream per walker");
-    policy.begin_run(k);
-    let interface_before = client.stats();
-    let mut state = DispatchState::default();
-    let mut cells: Vec<Cell> = (0..k).map(|_| Cell::new(0)).collect();
-    let mut restarts = Vec::new();
-    let mut rounds = 0usize;
-    let mut active: Vec<usize> = (0..k).collect();
-
-    while coalesced_round(
-        client,
-        walkers,
-        rngs,
-        max_steps,
-        node_attempt_cap,
-        value,
-        policy,
-        &mut state,
-        &mut cells,
-        &mut restarts,
-        &mut active,
-    ) {
-        rounds += 1;
-    }
-
-    let mut interface = client.stats();
-    interface.issued -= interface_before.issued;
-    interface.unique -= interface_before.unique;
-    interface.cache_hits -= interface_before.cache_hits;
-    CoalescedOutcome {
-        cells,
-        restarts,
-        rounds,
-        state,
-        interface,
-    }
-}
-
-/// One deterministic round of the coalesced driver: **policy → gather →
-/// dedup → charge → fan-out**. Returns `false` (doing nothing) once every
-/// walker is done. Shared by [`drive_coalesced`] and the resumable
-/// [`CoalescedWalkRun`], so the sliced execution path cannot drift from
-/// the one-shot driver.
-#[allow(clippy::too_many_arguments)]
-fn coalesced_round<B, R, F, P>(
-    client: &mut B,
-    walkers: &mut [&mut dyn RandomWalk],
-    rngs: &mut [R],
-    max_steps: usize,
-    node_attempt_cap: u32,
-    value: Option<&F>,
-    policy: &P,
-    state: &mut DispatchState,
-    cells: &mut [Cell],
-    restarts: &mut Vec<RestartEvent>,
-    active: &mut Vec<usize>,
-) -> bool
-where
-    B: BatchOsnClient,
-    R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
-    P: RestartPolicy + ?Sized,
-{
-    active.retain(|&i| cells[i].live(max_steps));
-    if active.is_empty() {
-        return false;
-    }
-    // Policy: restart decisions happen *before* the gather, so a
-    // relocated walker's new position joins this round's batch.
-    if policy.enabled() {
-        for &i in &*active {
-            let cached = |u: NodeId| state.cache.contains_key(&u.0) || client.is_cached(u);
-            let degree_of = |u: NodeId| client.peek_degree(u);
-            maybe_restart(
-                i,
-                &mut *walkers[i],
-                &cells[i],
-                policy,
-                &degree_of,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    // Gather + dedup: the node each active walker is parked on, in
-    // walker order, minus ids already cached or refused.
-    let mut pending: VecDeque<NodeId> = VecDeque::new();
-    let mut queued: FnvHashSet<u32> = FnvHashSet::default();
-    for &i in &*active {
-        let u = walkers[i].current();
-        if !state.cache.contains_key(&u.0) && !state.refused.contains(&u.0) && queued.insert(u.0) {
-            pending.push_back(u);
-        }
-    }
-    // Charge: fan the deduped ids out through the batch endpoint.
-    fetch_all(client, pending, state, node_attempt_cap);
-    // Fan-out: step every active walker from its own RNG stream.
-    for &i in &*active {
-        if state.refused.contains(&walkers[i].current().0) {
-            // The node this walker needs was refused (budget) or
-            // abandoned (dead interface): terminate it, exactly as a
-            // serial walk ends on its first refused query — unless the
-            // policy rescues it, in which case it resumes from the
-            // next round (the serial driver also charges a refusal one
-            // lost step, keeping the two schedules aligned) and its
-            // new position rides the next round's batch.
-            cells[i].stop = Some(WalkStop::BudgetExhausted);
-            if policy.enabled() {
-                let cached = |u: NodeId| state.cache.contains_key(&u.0) || client.is_cached(u);
-                maybe_rescue(
-                    i,
-                    &mut *walkers[i],
-                    &mut cells[i],
-                    policy,
-                    &cached,
-                    restarts,
-                );
-            }
-            continue;
-        }
-        let mut view = PrefetchedClient {
-            client: &mut *client,
-            state: &mut *state,
-            node_attempt_cap,
-        };
-        advance_walker(
-            i,
-            &mut *walkers[i],
-            &mut rngs[i],
-            &mut view,
-            value,
-            policy,
-            &mut cells[i],
-        );
-        if policy.enabled() && cells[i].stop.is_some() {
-            // Off-protocol refusal surfaced mid-step: same rescue offer.
-            let cached = |u: NodeId| state.cache.contains_key(&u.0) || client.is_cached(u);
-            maybe_rescue(
-                i,
-                &mut *walkers[i],
-                &mut cells[i],
-                policy,
-                &cached,
-                restarts,
-            );
-        }
-    }
-    true
-}
-
 /// Outcome of an orchestrated run, uniform across backends.
 #[derive(Clone, Debug)]
 pub struct OrchestratorReport {
     /// Per-walker visit sequences plus walker-side accounting (for the
-    /// coalesced backend this is the serial-shaped view; see
-    /// [`Self::interface`]).
+    /// reactor this is the view over its dispatcher cache — one issued
+    /// query per step, revisits as cache hits; see [`Self::interface`]).
     pub trace: MultiWalkTrace,
     /// Per-walker ratio estimators merged in walker-index order.
     pub estimate: RatioEstimator,
     /// Why each walker stopped, in walker order.
     pub stops: Vec<WalkStop>,
-    /// Every restart the policy performed, in schedule order (round-based
-    /// backends) or walker-then-step order (threaded backend).
+    /// Every restart the policy performed, in schedule order (reactor) or
+    /// walker-then-step order (threaded backend).
     pub restarts: Vec<RestartEvent>,
-    /// Scheduling waves executed by the round-based backends (`0` for the
-    /// threaded backend, which has no rounds).
+    /// Completion events the reactor processed (`0` for the threaded
+    /// backend, which has no event loop).
     pub rounds: usize,
-    /// Interface-side accounting of the coalesced backend (`None` for the
-    /// serial and threaded backends, whose walker-side stats *are* the
+    /// Interface-side accounting of the reactor's batch endpoint (`None`
+    /// for the threaded backend, whose walker-side stats *are* the
     /// interface stats).
     pub interface: Option<QueryStats>,
-    /// Nodes the budget refused (coalesced backend; each terminated the
-    /// walkers parked on it).
+    /// Nodes the budget refused (reactor; each terminated the walkers
+    /// parked on it).
     pub refused_nodes: usize,
-    /// Nodes abandoned after repeated permanent drops (coalesced backend).
+    /// Nodes abandoned after repeated permanent drops (reactor).
     pub abandoned_nodes: usize,
 }
 
 impl OrchestratorReport {
     /// Fold per-walker cells into the uniform report shape: estimators
-    /// merged and stops defaulted in walker-index order. The compatibility
-    /// wrappers in `multiwalk` reuse this fold so they cannot drift from
-    /// the unified API.
+    /// merged and stops defaulted in walker-index order.
     pub(crate) fn from_cells(
         cells: Vec<Cell>,
         restarts: Vec<RestartEvent>,
@@ -1067,13 +724,16 @@ impl OrchestratorReport {
 /// matrix.
 ///
 /// ```
-/// use osn_client::SimulatedOsn;
+/// use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 /// use osn_graph::{generators::barbell, NodeId};
 /// use osn_walks::orchestrator::{Never, WalkOrchestrator};
 /// use osn_walks::{Cnrw, RandomWalk};
 ///
-/// let mut client = SimulatedOsn::from_graph(barbell(8, 8).unwrap());
-/// let report = WalkOrchestrator::new(4, 200, 7).run_serial(
+/// // A synchronous client as a zero-latency endpoint with one batch slot
+/// // per walker.
+/// let osn = SimulatedOsn::from_graph(barbell(8, 8).unwrap());
+/// let mut client = SimulatedBatchOsn::configured(osn, BatchConfig::new(4), None);
+/// let report = WalkOrchestrator::new(4, 200, 7).run_reactor(
 ///     &mut client,
 ///     |i, backend| {
 ///         Box::new(Cnrw::with_backend(NodeId(i as u32 * 3), backend)) as Box<dyn RandomWalk + Send>
@@ -1150,50 +810,12 @@ impl WalkOrchestrator {
         (walkers, rngs)
     }
 
-    /// Run the fleet round-robin on the calling thread against one client.
-    ///
-    /// `make_walker(i, backend)` builds walker `i` on the orchestrator's
-    /// [`HistoryBackend`]; `value(v)` is the quantity being estimated at
-    /// node `v`. Fully deterministic — including the restart schedule —
-    /// given the seed.
-    pub fn run_serial<C, W, F, P>(
-        &self,
-        client: &mut C,
-        make_walker: W,
-        value: F,
-        policy: &P,
-    ) -> OrchestratorReport
-    where
-        C: OsnClient,
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-        F: Fn(NodeId) -> f64,
-        P: RestartPolicy + ?Sized,
-    {
-        let (mut fleet, mut rngs) = self.build_fleet(make_walker);
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let outcome = drive_round_robin(
-            client,
-            &mut refs,
-            &mut rngs,
-            self.max_steps_per_walker,
-            Some(&value),
-            policy,
-        );
-        OrchestratorReport::from_cells(
-            outcome.cells,
-            outcome.restarts,
-            outcome.rounds,
-            client.stats(),
-        )
-    }
-
     /// Run the fleet on one scoped OS thread per walker against cloned
     /// handles of a thread-safe client (built for
     /// [`osn_client::SharedOsn`]: clones share the cache, accounting, and
     /// optional atomic budget).
     ///
-    /// Per-walker traces are bit-identical to serial replay under [`Never`]
+    /// Per-walker traces are bit-identical to single-walker replay under [`Never`]
     /// (absent a shared budget); under [`WorkStealing`] the restart
     /// schedule depends on thread interleaving — see the module docs.
     ///
@@ -1225,7 +847,7 @@ impl WalkOrchestrator {
                     scope.spawn(move || {
                         let mut walker = make_walker(i, backend);
                         let mut rng = ChaCha12Rng::seed_from_u64(rng_seed);
-                        let mut cell = Cell::new(0);
+                        let mut cell = Cell::new();
                         let mut restarts = Vec::new();
                         while cell.live(max_steps) {
                             advance_walker(
@@ -1233,7 +855,7 @@ impl WalkOrchestrator {
                                 walker.as_mut(),
                                 &mut rng,
                                 &mut client,
-                                Some(value),
+                                value,
                                 policy,
                                 &mut cell,
                             );
@@ -1281,48 +903,6 @@ impl WalkOrchestrator {
         OrchestratorReport::from_cells(cells, restarts, 0, client.stats())
     }
 
-    /// Run the fleet against a batch endpoint through the coalescing
-    /// queue: deterministic rounds of policy → gather → dedup → charge →
-    /// fan-out, walker `i` consuming the identical RNG stream the other
-    /// backends use, so per-walker traces under [`Never`] are bit-identical
-    /// across all three modes (absent a budget).
-    pub fn run_coalesced<B, W, F, P>(
-        &self,
-        client: &mut B,
-        make_walker: W,
-        value: F,
-        policy: &P,
-    ) -> OrchestratorReport
-    where
-        B: BatchOsnClient,
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-        F: Fn(NodeId) -> f64,
-        P: RestartPolicy + ?Sized,
-    {
-        let (mut fleet, mut rngs) = self.build_fleet(make_walker);
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let outcome = drive_coalesced(
-            client,
-            &mut refs,
-            &mut rngs,
-            self.max_steps_per_walker,
-            DEFAULT_NODE_ATTEMPT_CAP,
-            Some(&value),
-            policy,
-        );
-        let mut report = OrchestratorReport::from_cells(
-            outcome.cells,
-            outcome.restarts,
-            outcome.rounds,
-            outcome.state.stats,
-        );
-        report.interface = Some(outcome.interface);
-        report.refused_nodes = outcome.state.refused_nodes;
-        report.abandoned_nodes = outcome.state.abandoned_nodes;
-        report
-    }
-
     /// The snapshot-embedded description of this orchestrator's
     /// construction-time spec, checked (not restored) at resume time:
     /// resuming requires reconstructing the *same* run.
@@ -1367,124 +947,18 @@ impl WalkOrchestrator {
         Ok(())
     }
 
-    /// Begin a pausable serial run (see [`SerialWalkRun`]). Driving it to
-    /// completion is bit-identical to [`Self::run_serial`] under [`Never`].
-    pub fn start_serial<W>(&self, make_walker: W) -> SerialWalkRun
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs) = self.build_fleet(make_walker);
-        SerialWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells: (0..self.walkers).map(|_| Cell::new(0)).collect(),
-            rounds: 0,
-            active: (0..self.walkers).collect(),
-        }
-    }
-
-    /// Restore a [`SerialWalkRun`] from a [`SerialWalkRun::snapshot`]
-    /// value. The orchestrator spec (fleet size, step cap, seed, history
-    /// backend) must match the one that produced the snapshot, and
-    /// `make_walker` must rebuild walkers of the same algorithm/strategy —
-    /// walker state import fails loudly on backend mismatches, but the
-    /// algorithm itself is the caller's contract, exactly as for
-    /// [`RandomWalk::import_state`].
-    pub fn resume_serial<W>(&self, state: &Value, make_walker: W) -> Result<SerialWalkRun, String>
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs, cells, rounds) =
-            self.resume_fleet(state, "serial", "rounds", make_walker)?;
-        Ok(SerialWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells,
-            rounds,
-            active: (0..self.walkers).collect(),
-        })
-    }
-
-    /// Begin a pausable coalesced run against a batch endpoint (see
-    /// [`CoalescedWalkRun`]). Driving it to completion is bit-identical to
-    /// [`Self::run_coalesced`] under [`Never`].
-    pub fn start_coalesced<W>(&self, make_walker: W) -> CoalescedWalkRun
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs) = self.build_fleet(make_walker);
-        CoalescedWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells: (0..self.walkers).map(|_| Cell::new(0)).collect(),
-            rounds: 0,
-            active: (0..self.walkers).collect(),
-            state: DispatchState::default(),
-            node_attempt_cap: DEFAULT_NODE_ATTEMPT_CAP,
-            interface_base: None,
-        }
-    }
-
-    /// Restore a [`CoalescedWalkRun`] from a [`CoalescedWalkRun::snapshot`]
-    /// value — including the dispatcher cache, so already-fetched neighbor
-    /// lists are not re-charged after resume. Spec and walker contracts are
-    /// as for [`Self::resume_serial`].
-    pub fn resume_coalesced<W>(
-        &self,
-        state: &Value,
-        make_walker: W,
-    ) -> Result<CoalescedWalkRun, String>
-    where
-        W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
-    {
-        let (fleet, rngs, cells, rounds) =
-            self.resume_fleet(state, "coalesced", "rounds", make_walker)?;
-        let dispatch = dispatch_from_value(state.field("dispatch")?)?;
-        let node_attempt_cap: u32 = state.field("attempt_cap")?.decode()?;
-        Ok(CoalescedWalkRun {
-            spec: *self,
-            fleet,
-            rngs,
-            cells,
-            rounds,
-            active: (0..self.walkers).collect(),
-            state: dispatch,
-            node_attempt_cap,
-            interface_base: None,
-        })
-    }
-
-    /// The fleet-restoration core shared by both resume entry points.
+    /// Restore the fleet, RNG streams, and cells of a run snapshot whose
+    /// `kind` the caller has already checked.
     #[allow(clippy::type_complexity)]
     pub(crate) fn resume_fleet<W>(
         &self,
         state: &Value,
-        kind: &str,
-        counter: &str,
         make_walker: W,
-    ) -> Result<
-        (
-            Vec<Box<dyn RandomWalk + Send>>,
-            Vec<ChaCha12Rng>,
-            Vec<Cell>,
-            usize,
-        ),
-        String,
-    >
+    ) -> Result<(Vec<Box<dyn RandomWalk + Send>>, Vec<ChaCha12Rng>, Vec<Cell>), String>
     where
         W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
     {
-        let found = state.field("kind")?.as_str()?;
-        if found != kind {
-            return Err(format!(
-                "snapshot kind mismatch: `{found}`, expected `{kind}`"
-            ));
-        }
         self.check_spec(state.field("spec")?)?;
-        let rounds: usize = state.field(counter)?.decode()?;
         let walker_states = state.field("walkers")?.as_array()?;
         let rng_states = state.field("rngs")?.as_array()?;
         let cell_states = state.field("cells")?.as_array()?;
@@ -1516,12 +990,12 @@ impl WalkOrchestrator {
             .iter()
             .map(cell_from_value)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok((fleet, rngs, cells, rounds))
+        Ok((fleet, rngs, cells))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Resumable runs: pause between rounds, snapshot the whole run to an
+// Resumable runs: pause between events, snapshot the whole run to an
 // `osn-serde` [`Value`], resume bit-identically — the execution substrate
 // of the `osn-service` job server.
 // ---------------------------------------------------------------------------
@@ -1717,292 +1191,12 @@ pub(crate) fn dispatch_from_value(value: &Value) -> Result<DispatchState, String
     })
 }
 
-/// A serial orchestrated run that pauses between scheduling rounds,
-/// snapshots to an `osn-serde` [`Value`], and resumes **bit-identically** —
-/// the execution substrate of the `osn-service` job server, where many
-/// concurrent jobs advance in interleaved round slices and a killed server
-/// must restore every job mid-walk.
-///
-/// Semantically this is [`WalkOrchestrator::run_serial`] under the
-/// [`Never`] policy, sliced: driving a run to completion produces the
-/// identical traces, estimate, and stops (pinned by the facade-level
-/// resume suite). Restart policies are intentionally **not** supported on
-/// the resumable path — [`WorkStealing`] keeps non-serializable interior
-/// diagnostics (the windowed split-R̂ accumulators, per-walker visit
-/// filters, the lock-striped frontier), so a mid-run snapshot could not
-/// restore the restart schedule. Use [`WalkOrchestrator::run_serial`] for
-/// policy-driven runs.
-pub struct SerialWalkRun {
-    spec: WalkOrchestrator,
-    fleet: Vec<Box<dyn RandomWalk + Send>>,
-    rngs: Vec<ChaCha12Rng>,
-    cells: Vec<Cell>,
-    rounds: usize,
-    active: Vec<usize>,
-}
-
-impl SerialWalkRun {
-    /// Whether every walker has finished (step cap reached or budget
-    /// refused). Further [`Self::run_rounds`] calls are no-ops.
-    pub fn done(&self) -> bool {
-        let max = self.spec.max_steps_per_walker;
-        self.cells.iter().all(|c| !c.live(max))
-    }
-
-    /// Scheduling rounds executed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Total transitions performed across the fleet so far.
-    pub fn steps_taken(&self) -> usize {
-        self.cells.iter().map(|c| c.trace.len()).sum()
-    }
-
-    /// Advance up to `rounds` scheduling waves against `client`, returning
-    /// the number actually executed (fewer once the fleet finishes).
-    /// `value` must be the same function across slices for the estimate to
-    /// mean anything; pass `usize::MAX` to drive the run to completion.
-    pub fn run_rounds<C, F>(&mut self, client: &mut C, value: &F, rounds: usize) -> usize
-    where
-        C: OsnClient,
-        F: Fn(NodeId) -> f64 + ?Sized,
-    {
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            self.fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let mut no_restarts = Vec::new();
-        let mut executed = 0;
-        while executed < rounds
-            && serial_round(
-                client,
-                &mut refs,
-                &mut self.rngs,
-                self.spec.max_steps_per_walker,
-                Some(value),
-                &Never,
-                &mut self.cells,
-                &mut no_restarts,
-                &mut self.active,
-            )
-        {
-            executed += 1;
-            self.rounds += 1;
-        }
-        executed
-    }
-
-    /// Notify the fleet that each node in `nodes` had an incident edge
-    /// inserted or deleted (through an [`osn_graph::DeltaOverlay`] applied
-    /// to the client): every walker drops the circulation state keyed by
-    /// that node, so coverage restarts on the post-mutation neighborhood.
-    /// The serial backend holds no dispatcher cache — the client itself is
-    /// the source of truth for neighbor lists. Returns the total number of
-    /// per-edge histories dropped across the fleet.
-    pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
-        let mut dropped = 0;
-        for w in &mut self.fleet {
-            for &v in nodes {
-                dropped += w.invalidate_node(v);
-            }
-        }
-        dropped
-    }
-
-    /// Serialize the complete run state — walker positions and circulation
-    /// histories, RNG stream words, per-walker traces, estimator
-    /// accumulators, stop flags, round counter — as a byte-deterministic
-    /// [`Value`]. Restore with [`WalkOrchestrator::resume_serial`].
-    pub fn snapshot(&self) -> Value {
-        Value::obj([
-            ("kind", Value::Str("serial".into())),
-            ("spec", self.spec.spec_value()),
-            ("rounds", Value::Uint(self.rounds as u64)),
-            (
-                "walkers",
-                Value::Arr(self.fleet.iter().map(|w| w.export_state()).collect()),
-            ),
-            (
-                "rngs",
-                Value::Arr(self.rngs.iter().map(rng_to_value).collect()),
-            ),
-            (
-                "cells",
-                Value::Arr(self.cells.iter().map(cell_to_value).collect()),
-            ),
-        ])
-    }
-
-    /// Fold the run into the uniform report shape. `stats` is the client's
-    /// accounting (the serial backend's walker-side stats *are* the
-    /// interface stats, exactly as in [`WalkOrchestrator::run_serial`]).
-    pub fn into_report(self, stats: QueryStats) -> OrchestratorReport {
-        OrchestratorReport::from_cells(self.cells, Vec::new(), self.rounds, stats)
-    }
-}
-
-/// A coalesced orchestrated run that pauses between rounds and snapshots —
-/// the batched sibling of [`SerialWalkRun`], carrying the dispatcher state
-/// (shared cache, refusals, resubmission counts, walker-side accounting)
-/// through the snapshot so a resumed run re-charges nothing it already
-/// paid for. Driving it to completion is bit-identical to
-/// [`WalkOrchestrator::run_coalesced`] under [`Never`].
-pub struct CoalescedWalkRun {
-    spec: WalkOrchestrator,
-    fleet: Vec<Box<dyn RandomWalk + Send>>,
-    rngs: Vec<ChaCha12Rng>,
-    cells: Vec<Cell>,
-    rounds: usize,
-    active: Vec<usize>,
-    state: DispatchState,
-    node_attempt_cap: u32,
-    /// Endpoint accounting at the first `run_rounds` call of this process
-    /// lifetime, so [`Self::into_report`] reports the interface delta this
-    /// run (segment) caused. Not serialized: endpoint counters do not
-    /// survive the process, so a resumed segment's delta starts fresh.
-    interface_base: Option<QueryStats>,
-}
-
-impl CoalescedWalkRun {
-    /// Whether every walker has finished.
-    pub fn done(&self) -> bool {
-        let max = self.spec.max_steps_per_walker;
-        self.cells.iter().all(|c| !c.live(max))
-    }
-
-    /// Scheduling rounds executed so far.
-    pub fn rounds(&self) -> usize {
-        self.rounds
-    }
-
-    /// Total transitions performed across the fleet so far.
-    pub fn steps_taken(&self) -> usize {
-        self.cells.iter().map(|c| c.trace.len()).sum()
-    }
-
-    /// Walker-side accounting so far (the serial-shaped `issued` /
-    /// `unique` / `cache_hits` view over the dispatcher cache).
-    pub fn walker_stats(&self) -> QueryStats {
-        self.state.stats
-    }
-
-    /// Cap on dispatcher-level resubmissions of a permanently-dropped node
-    /// (default [`DEFAULT_NODE_ATTEMPT_CAP`]).
-    #[must_use]
-    pub fn with_node_attempt_cap(mut self, cap: u32) -> Self {
-        self.node_attempt_cap = cap.max(1);
-        self
-    }
-
-    /// Advance up to `rounds` deterministic **policy-free** rounds of
-    /// gather → dedup → charge → fan-out against `client`, returning the
-    /// number actually executed. Pass `usize::MAX` to drive to completion.
-    pub fn run_rounds<B, F>(&mut self, client: &mut B, value: &F, rounds: usize) -> usize
-    where
-        B: BatchOsnClient,
-        F: Fn(NodeId) -> f64 + ?Sized,
-    {
-        if self.interface_base.is_none() {
-            self.interface_base = Some(client.stats());
-        }
-        let mut refs: Vec<&mut dyn RandomWalk> =
-            self.fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let mut no_restarts = Vec::new();
-        let mut executed = 0;
-        while executed < rounds
-            && coalesced_round(
-                client,
-                &mut refs,
-                &mut self.rngs,
-                self.spec.max_steps_per_walker,
-                self.node_attempt_cap,
-                Some(value),
-                &Never,
-                &mut self.state,
-                &mut self.cells,
-                &mut no_restarts,
-                &mut self.active,
-            )
-        {
-            executed += 1;
-            self.rounds += 1;
-        }
-        executed
-    }
-
-    /// Notify the fleet that each node in `nodes` had an incident edge
-    /// inserted or deleted (through an [`osn_graph::DeltaOverlay`] applied
-    /// to the endpoint): every walker drops the circulation state keyed by
-    /// that node, and the dispatcher cache evicts the node's neighbor list
-    /// (plus its `seen` mark) so the next visit re-fetches — and re-charges
-    /// — the post-mutation list honestly. Returns the total number of
-    /// per-edge histories dropped across the fleet.
-    pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
-        let mut dropped = 0;
-        for &v in nodes {
-            self.state.cache.remove(&v.0);
-            self.state.seen.remove(&v.0);
-            for w in &mut self.fleet {
-                dropped += w.invalidate_node(v);
-            }
-        }
-        dropped
-    }
-
-    /// Serialize the complete run state — fleet as in
-    /// [`SerialWalkRun::snapshot`], plus the dispatcher cache/refusals/
-    /// attempt counts/accounting. Restore with
-    /// [`WalkOrchestrator::resume_coalesced`].
-    pub fn snapshot(&self) -> Value {
-        Value::obj([
-            ("kind", Value::Str("coalesced".into())),
-            ("spec", self.spec.spec_value()),
-            ("rounds", Value::Uint(self.rounds as u64)),
-            (
-                "walkers",
-                Value::Arr(self.fleet.iter().map(|w| w.export_state()).collect()),
-            ),
-            (
-                "rngs",
-                Value::Arr(self.rngs.iter().map(rng_to_value).collect()),
-            ),
-            (
-                "cells",
-                Value::Arr(self.cells.iter().map(cell_to_value).collect()),
-            ),
-            ("dispatch", dispatch_to_value(&self.state)),
-            ("attempt_cap", Value::Uint(u64::from(self.node_attempt_cap))),
-        ])
-    }
-
-    /// Fold the run into the uniform report shape, reading the endpoint's
-    /// interface-side accounting delta for this process lifetime from
-    /// `client` (deltas are measured from the first `run_rounds` call
-    /// after construction or resume; endpoint counters do not survive the
-    /// process).
-    pub fn into_report<B: BatchOsnClient>(self, client: &B) -> OrchestratorReport {
-        let refused_nodes = self.state.refused_nodes;
-        let abandoned_nodes = self.state.abandoned_nodes;
-        let mut report =
-            OrchestratorReport::from_cells(self.cells, Vec::new(), self.rounds, self.state.stats);
-        let mut interface = client.stats();
-        if let Some(base) = self.interface_base {
-            interface.issued -= base.issued;
-            interface.unique -= base.unique;
-            interface.cache_hits -= base.cache_hits;
-        }
-        report.interface = Some(interface);
-        report.refused_nodes = refused_nodes;
-        report.abandoned_nodes = abandoned_nodes;
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::walkers::{Cnrw, Srw};
     use osn_client::batch::{BatchConfig, SimulatedBatchOsn};
-    use osn_client::{BudgetedClient, SharedOsn, SimulatedOsn};
+    use osn_client::SimulatedOsn;
     use osn_graph::generators::{barbell, clustered_cliques, ClusteredCliquesConfig};
 
     fn clustered_client() -> SimulatedOsn {
@@ -2011,22 +1205,10 @@ mod tests {
         )
     }
 
-    #[test]
-    fn serial_never_equals_threaded_never_bit_identically() {
-        let orch = WalkOrchestrator::new(3, 200, 11);
-        let make = |i: usize, b: HistoryBackend| {
-            Box::new(Cnrw::with_backend(NodeId(i as u32 * 5), b)) as Box<dyn RandomWalk + Send>
-        };
-        let mut serial_client = SimulatedOsn::from_graph(barbell(9, 9).unwrap());
-        let serial = orch.run_serial(&mut serial_client, make, |v| v.index() as f64, &Never);
-        let shared = SharedOsn::new(SimulatedOsn::from_graph(barbell(9, 9).unwrap()));
-        let threaded = orch.run_threaded(&shared, make, |v| v.index() as f64, &Never);
-        assert_eq!(serial.trace.per_walker, threaded.trace.per_walker);
-        assert_eq!(serial.estimate.count(), threaded.estimate.count());
-        assert_eq!(serial.estimate.mean(), threaded.estimate.mean());
-        assert!(serial.restarts.is_empty() && threaded.restarts.is_empty());
-        assert_eq!(serial.rounds, 200);
-        assert!(serial.stops.iter().all(|s| *s == WalkStop::MaxSteps));
+    /// A synchronous client as a zero-latency endpoint with one batch slot
+    /// per walker: every wave of the fleet fits one request.
+    fn endpoint(osn: SimulatedOsn, walkers: usize, budget: Option<u64>) -> SimulatedBatchOsn {
+        SimulatedBatchOsn::configured(osn, BatchConfig::new(walkers), budget)
     }
 
     #[test]
@@ -2037,8 +1219,8 @@ mod tests {
         // luckier walker published.
         let run = || {
             let policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-            let mut client = clustered_client();
-            let report = WalkOrchestrator::new(4, 400, 5).run_serial(
+            let mut client = endpoint(clustered_client(), 4, None);
+            let report = WalkOrchestrator::new(4, 400, 5).run_reactor(
                 &mut client,
                 |i, b| Box::new(Cnrw::with_backend(NodeId(i as u32 % 10), b)) as _,
                 |v| v.index() as f64,
@@ -2071,41 +1253,6 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_coalesced_work_stealing_schedules_match() {
-        // Both round-based backends consult the policy at the same
-        // boundaries over the same RNG streams: identical traces AND
-        // identical restart schedules, batching notwithstanding.
-        let make = |i: usize, b: HistoryBackend| {
-            Box::new(Cnrw::with_backend(NodeId(i as u32 % 10), b)) as Box<dyn RandomWalk + Send>
-        };
-        let orch = WalkOrchestrator::new(4, 300, 9);
-        let serial_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-        let mut serial_client = clustered_client();
-        let serial = orch.run_serial(
-            &mut serial_client,
-            make,
-            |v| v.index() as f64,
-            &serial_policy,
-        );
-
-        let coalesced_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-        let mut batch_client =
-            SimulatedBatchOsn::new(clustered_client(), BatchConfig::new(4).with_in_flight(2));
-        let coalesced = orch.run_coalesced(
-            &mut batch_client,
-            make,
-            |v| v.index() as f64,
-            &coalesced_policy,
-        );
-        assert_eq!(serial.restarts, coalesced.restarts);
-        assert_eq!(serial.trace.per_walker, coalesced.trace.per_walker);
-        assert!(
-            !serial.restarts.is_empty(),
-            "scenario must exercise stealing"
-        );
-    }
-
-    #[test]
     fn stealing_beats_never_on_coverage_with_clumped_starts() {
         let coverage = |steal: bool| {
             let policy: Box<dyn RestartPolicy> = if steal {
@@ -2117,8 +1264,8 @@ mod tests {
             } else {
                 Box::new(Never)
             };
-            let mut client = clustered_client();
-            let report = WalkOrchestrator::new(4, 500, 3).run_serial(
+            let mut client = endpoint(clustered_client(), 4, None);
+            let report = WalkOrchestrator::new(4, 500, 3).run_reactor(
                 &mut client,
                 |i, b| Box::new(Cnrw::with_backend(NodeId(i as u32 % 10), b)) as _,
                 |v| v.index() as f64,
@@ -2138,10 +1285,12 @@ mod tests {
 
     #[test]
     fn budget_stops_are_reported_per_walker() {
-        let g = barbell(10, 10).unwrap();
-        let n = g.node_count();
-        let mut client = BudgetedClient::new(SimulatedOsn::from_graph(g), 6, n);
-        let report = WalkOrchestrator::new(2, 10_000, 1).run_serial(
+        let mut client = endpoint(
+            SimulatedOsn::from_graph(barbell(10, 10).unwrap()),
+            2,
+            Some(6),
+        );
+        let report = WalkOrchestrator::new(2, 10_000, 1).run_reactor(
             &mut client,
             |i, _| Box::new(Srw::new(NodeId(i as u32))) as _,
             |_| 1.0,

@@ -1,10 +1,9 @@
 //! The poll-driven reactor backend: **10k+ walkers as state machines on
 //! one loop, no threads, O(active batches) memory**.
 //!
-//! The threaded backend spends an OS thread (and a stack) per walker; the
-//! coalesced backend proved walkers can park on I/O but still marches the
-//! whole fleet through lock-step rounds. This module refactors the
-//! per-walker step into an explicit state machine ([`WalkerFsm`]) whose
+//! The threaded backend spends an OS thread (and a stack) per walker; this
+//! module instead makes the per-walker step an explicit state machine
+//! ([`WalkerFsm`]) whose
 //! completion source is the [`BatchOsnClient`] `submit`/`poll` pair: one
 //! reactor loop parks tens of thousands of walkers on in-flight batches and
 //! advances exactly the walkers each completed batch unblocks. Memory
@@ -30,10 +29,9 @@
 //! 3. **act** — the walkers unblocked by this event plus those left ready
 //!    by the previous one step **in walker-index order** (the tiebreak that
 //!    makes the schedule canonical). At most one step per walker per event,
-//!    so policy cadences stay aligned with the round-based backends.
+//!    so policy cadences advance in step counts, not wall time.
 //! 4. **policy** — [`RestartPolicy`] checks run for every live walker in
-//!    walker-index order, exactly where the coalesced backend consults the
-//!    policy between rounds.
+//!    walker-index order.
 //! 5. **classify** — every walker that stepped (or was relocated) is
 //!    parked on its new current node: already-cached or refused nodes make
 //!    it ready for the next event, anything else enqueues (deduplicated)
@@ -44,14 +42,19 @@
 //! Given a seed the whole schedule — traces, estimator pushes, charge
 //! order, restart schedule — is a pure function of the endpoint's
 //! completion times. When every wave fits one batch (`max_batch_size ≥`
-//! fleet size) the reactor's events coincide 1:1 with the coalesced
-//! backend's rounds and the two are **bit-identical** end to end: traces,
-//! estimates, stops, charges, and restart schedules (pinned by the
-//! `reactor_equivalence` suite). With smaller batches the reactor
-//! pipelines waves through the in-flight window; under [`Never`] with no
-//! budget the traces remain bit-identical (they are schedule-independent),
-//! while budget charge order may legitimately diverge — the documented
-//! boundary of the equivalence claim.
+//! fleet size) every event is one lockstep wave: each live walker steps
+//! once, then the policy runs, then the wave's unique uncached ids go out
+//! as one request. That schedule is pinned end to end — traces, stops,
+//! charges, restart schedules — by the committed fixtures
+//! `tests/fixtures/cnrw_batch_clustered.txt` (fault injection, in-flight
+//! window 2) and `tests/fixtures/cnrw_steal_budget_clustered.txt`
+//! ([`crate::WorkStealing`] under a shared budget on a zero-latency
+//! endpoint). With smaller batches the reactor pipelines waves through the
+//! in-flight window (`tests/fixtures/cnrw_reactor_clustered.txt`); under
+//! [`Never`] with no budget the traces stay equal to per-walker
+//! [`crate::WalkSession`] replays (they are schedule-independent, pinned by
+//! the `reactor_equivalence` suite), while budget charge order may
+//! legitimately differ.
 //!
 //! [`VirtualClock`]: osn_client::VirtualClock
 
@@ -118,7 +121,7 @@ pub enum WalkerFsm {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReactorStats {
     /// Completion events processed (synthetic ticks included). With
-    /// single-batch waves this equals the coalesced backend's round count.
+    /// single-batch waves this is the number of lockstep waves.
     pub events: usize,
     /// Events with nothing in flight (walkers stepping through
     /// already-cached territory).
@@ -134,8 +137,7 @@ pub struct ReactorStats {
 
 /// The reactor's scheduling state: per-walker FSMs plus the queues that
 /// connect them to the batch endpoint. Owns no walkers, cells, or
-/// dispatcher cache — those stay in the same structures every other
-/// backend uses, which is what makes the backends bit-comparable.
+/// dispatcher cache — those stay in the orchestrator's shared cell core.
 struct ReactorCore {
     max_steps: usize,
     node_attempt_cap: u32,
@@ -273,7 +275,7 @@ impl ReactorCore {
     /// state — deliveries cache and wake, budget refusals refuse and wake,
     /// per-id drops resubmit (bounded per node by the attempt cap, then
     /// abandon and wake into the refusal path). The same accounting
-    /// `fetch_all` performs for the coalesced backend, event-at-a-time.
+    /// `fetch_all` performs for off-protocol fetches, event-at-a-time.
     fn absorb(&mut self, outcome: BatchOutcome, state: &mut DispatchState, acted: &mut Vec<usize>) {
         self.inflight
             .retain(|(ticket, _)| *ticket != outcome.ticket);
@@ -349,7 +351,7 @@ impl ReactorCore {
         client: &mut B,
         walkers: &mut [&mut dyn RandomWalk],
         rngs: &mut [R],
-        value: Option<&F>,
+        value: &F,
         policy: &P,
         state: &mut DispatchState,
         cells: &mut [Cell],
@@ -400,8 +402,7 @@ impl ReactorCore {
                 // The node this walker needs was refused (budget) or
                 // abandoned (dead interface): terminate it — unless the
                 // policy rescues it, in which case it re-enters the next
-                // wave (a refusal costs one lost event, exactly as the
-                // round-based backends charge it one lost round).
+                // wave (a refusal costs the walker one lost event).
                 cells[i].stop = Some(WalkStop::BudgetExhausted);
                 self.fsm[i] = WalkerFsm::Refused;
                 if policy.enabled() {
@@ -465,10 +466,9 @@ impl ReactorCore {
         // ships).
         let now_in_flight = client.in_flight();
         self.repair(now_in_flight, state);
-        // Phase 4: policy checks for every live walker, walker-index order
-        // — the coalesced backend's between-rounds boundary. A relocated
-        // walker abandons any stale wait and reclassifies in phase 5, so
-        // its new position rides the next wave's batch.
+        // Phase 4: policy checks for every live walker, walker-index order.
+        // A relocated walker abandons any stale wait and reclassifies in
+        // phase 5, so its new position rides the next wave's batch.
         if policy.enabled() {
             for i in 0..walkers.len() {
                 if !cells[i].live(self.max_steps) {
@@ -522,29 +522,28 @@ impl ReactorCore {
     }
 }
 
-/// Outcome of the reactor driver ([`drive_reactor`]).
-struct ReactorOutcome {
-    cells: Vec<Cell>,
-    restarts: Vec<RestartEvent>,
-    state: DispatchState,
-    interface: QueryStats,
-    stats: ReactorStats,
-}
-
-/// The one-shot reactor driver: init, then turns until idle.
-fn drive_reactor<B, R, F, P>(
+/// Drive a fleet on the reactor until every walker is done — the one
+/// low-level reactor entry, which [`WalkOrchestrator::run_reactor`] calls
+/// with its own fleet. Walker `i` draws from `rngs[i]`, so callers with
+/// their own seeding contract (a single-walk trial seeded directly, say)
+/// hand in their walker and RNG here. `value(v)` is the quantity being
+/// estimated at node `v`. The report's `rounds` field carries the event
+/// count.
+///
+/// # Panics
+/// If `walkers` and `rngs` lengths differ.
+pub fn drive_reactor<B, R, F, P>(
     client: &mut B,
     walkers: &mut [&mut dyn RandomWalk],
     rngs: &mut [R],
     max_steps: usize,
-    node_attempt_cap: u32,
-    value: Option<&F>,
+    value: F,
     policy: &P,
-) -> ReactorOutcome
+) -> (OrchestratorReport, ReactorStats)
 where
     B: BatchOsnClient,
     R: RngCore,
-    F: Fn(NodeId) -> f64 + ?Sized,
+    F: Fn(NodeId) -> f64,
     P: RestartPolicy + ?Sized,
 {
     let k = walkers.len();
@@ -552,32 +551,35 @@ where
     policy.begin_run(k);
     let interface_before = client.stats();
     let mut state = DispatchState::default();
-    let mut cells: Vec<Cell> = (0..k).map(|_| Cell::new(0)).collect();
+    let mut cells: Vec<Cell> = (0..k).map(|_| Cell::new()).collect();
     let mut restarts = Vec::new();
-    let mut core = ReactorCore::new(k, max_steps, node_attempt_cap);
+    let mut core = ReactorCore::new(k, max_steps, DEFAULT_NODE_ATTEMPT_CAP);
     core.init(&mut |i| walkers[i].current(), &cells, &state);
     while core.turn(
         client,
         walkers,
         rngs,
-        value,
+        &value,
         policy,
         &mut state,
         &mut cells,
         &mut restarts,
         true,
     ) {}
-    let mut interface = client.stats();
-    interface.issued -= interface_before.issued;
-    interface.unique -= interface_before.unique;
-    interface.cache_hits -= interface_before.cache_hits;
-    ReactorOutcome {
-        cells,
-        restarts,
-        state,
-        interface,
-        stats: core.stats,
-    }
+    let mut report =
+        OrchestratorReport::from_cells(cells, restarts, core.stats.events, state.stats);
+    report.interface = Some(interface_delta(client.stats(), interface_before));
+    report.refused_nodes = state.refused_nodes;
+    report.abandoned_nodes = state.abandoned_nodes;
+    (report, core.stats)
+}
+
+/// Endpoint accounting accumulated since `base`.
+fn interface_delta(mut now: QueryStats, base: QueryStats) -> QueryStats {
+    now.issued -= base.issued;
+    now.unique -= base.unique;
+    now.cache_hits -= base.cache_hits;
+    now
 }
 
 impl WalkOrchestrator {
@@ -588,10 +590,13 @@ impl WalkOrchestrator {
     ///
     /// Deterministic given the seed: events are delivered in completion-
     /// time order with walker-index tiebreaks. With `max_batch_size ≥`
-    /// fleet size the result is bit-identical to [`Self::run_coalesced`] —
-    /// traces, estimate, stops, charges, and the restart schedule under
-    /// any [`RestartPolicy`]; with smaller batches waves pipeline and the
-    /// trace equivalence holds under [`Never`] absent a budget.
+    /// fleet size every event is one lockstep wave of the fleet; with
+    /// smaller batches waves pipeline, and under [`Never`] absent a budget
+    /// the traces stay the same (see the module docs).
+    ///
+    /// A synchronous [`osn_client::SimulatedOsn`] fleet runs here through
+    /// `SimulatedBatchOsn::configured(osn, BatchConfig::new(walkers),
+    /// budget)`: a zero-latency endpoint with one batch slot per walker.
     pub fn run_reactor<B, W, F, P>(
         &self,
         client: &mut B,
@@ -628,25 +633,14 @@ impl WalkOrchestrator {
         let (mut fleet, mut rngs) = self.build_fleet(make_walker);
         let mut refs: Vec<&mut dyn RandomWalk> =
             fleet.iter_mut().map(|w| w.as_mut() as _).collect();
-        let outcome = drive_reactor(
+        drive_reactor(
             client,
             &mut refs,
             &mut rngs,
             self.max_steps_per_walker(),
-            DEFAULT_NODE_ATTEMPT_CAP,
-            Some(&value),
+            value,
             policy,
-        );
-        let mut report = OrchestratorReport::from_cells(
-            outcome.cells,
-            outcome.restarts,
-            outcome.stats.events,
-            outcome.state.stats,
-        );
-        report.interface = Some(outcome.interface);
-        report.refused_nodes = outcome.state.refused_nodes;
-        report.abandoned_nodes = outcome.state.abandoned_nodes;
-        (report, outcome.stats)
+        )
     }
 
     /// Begin a pausable reactor run (see [`ReactorWalkRun`]). Driving it to
@@ -658,7 +652,7 @@ impl WalkOrchestrator {
         W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
     {
         let (fleet, rngs) = self.build_fleet(make_walker);
-        let cells: Vec<Cell> = (0..self.walker_count()).map(|_| Cell::new(0)).collect();
+        let cells: Vec<Cell> = (0..self.walker_count()).map(|_| Cell::new()).collect();
         let state = DispatchState::default();
         let mut core = ReactorCore::new(
             self.walker_count(),
@@ -683,13 +677,32 @@ impl WalkOrchestrator {
     /// Restore a [`ReactorWalkRun`] from a [`ReactorWalkRun::snapshot`]
     /// value — dispatcher cache and fetch queues included, so a resumed
     /// run re-charges nothing and resubmits in the snapshot's queue order.
-    /// Spec and walker contracts are as for [`Self::resume_serial`].
+    /// The orchestrator spec (fleet size, step cap, seed, history backend)
+    /// must match the one that produced the snapshot, and `make_walker`
+    /// must rebuild walkers of the same algorithm/strategy — walker state
+    /// import fails loudly on backend mismatches, but the algorithm itself
+    /// is the caller's contract, exactly as for [`RandomWalk::import_state`].
+    ///
+    /// # Errors
+    /// On a malformed snapshot, a spec mismatch, or a run `kind` other
+    /// than `reactor` — including the retired `serial` and `coalesced`
+    /// kinds, whose round-based runs no longer exist.
     pub fn resume_reactor<W>(&self, state: &Value, make_walker: W) -> Result<ReactorWalkRun, String>
     where
         W: Fn(usize, HistoryBackend) -> Box<dyn RandomWalk + Send>,
     {
-        let (fleet, rngs, cells, events) =
-            self.resume_fleet(state, "reactor", "events", make_walker)?;
+        match state.field("kind")?.as_str()? {
+            "reactor" => {}
+            retired @ ("serial" | "coalesced") => {
+                return Err(format!(
+                    "`{retired}` run snapshot predates the reactor-only run format; \
+                     only `reactor` runs can be resumed"
+                ))
+            }
+            other => return Err(format!("unknown run snapshot kind `{other}`")),
+        }
+        let (fleet, rngs, cells) = self.resume_fleet(state, make_walker)?;
+        let events: usize = state.field("events")?.decode()?;
         let dispatch = dispatch_from_value(state.field("dispatch")?)?;
         let node_attempt_cap: u32 = state.field("attempt_cap")?.decode()?;
         let retry = nodes_from_value(state.field("retry")?)?;
@@ -727,12 +740,11 @@ impl WalkOrchestrator {
 }
 
 /// A reactor run that pauses between completion events and snapshots — the
-/// event-driven sibling of [`crate::CoalescedWalkRun`] and the job-slice
-/// engine of the `osn-service` session server: one slice advances a
-/// bounded number of events instead of whole fleet-wide rounds, so a
-/// 10k-walker job interleaves with its tenants at event granularity.
+/// job-slice engine of the `osn-service` session server: one slice
+/// advances a bounded number of events, so a 10k-walker job interleaves
+/// with its tenants at event granularity.
 ///
-/// Policy-free ([`Never`]) like every resumable run: [`WorkStealing`]
+/// Policy-free ([`Never`]): [`WorkStealing`]
 /// keeps non-serializable interior diagnostics, so a mid-run snapshot
 /// could not restore the restart schedule. Use
 /// [`WalkOrchestrator::run_reactor`] for policy-driven runs.
@@ -753,7 +765,9 @@ pub struct ReactorWalkRun {
     state: DispatchState,
     core: ReactorCore,
     /// Endpoint accounting at the first `run_events` call of this process
-    /// lifetime (see [`crate::CoalescedWalkRun`] for the delta contract).
+    /// lifetime, so [`Self::into_report`] reports the interface delta this
+    /// run (segment) caused. Not serialized: endpoint counters do not
+    /// survive the process, so a resumed segment's delta starts fresh.
     interface_base: Option<QueryStats>,
 }
 
@@ -823,7 +837,7 @@ impl ReactorWalkRun {
                 client,
                 &mut refs,
                 &mut self.rngs,
-                Some(value),
+                value,
                 &Never,
                 &mut self.state,
                 &mut self.cells,
@@ -840,7 +854,7 @@ impl ReactorWalkRun {
                 client,
                 &mut refs,
                 &mut self.rngs,
-                Some(value),
+                value,
                 &Never,
                 &mut self.state,
                 &mut self.cells,
@@ -859,10 +873,11 @@ impl ReactorWalkRun {
     /// that node, and the dispatcher cache evicts the node's neighbor list
     /// (plus its `seen` mark) so the next visit re-fetches — and re-charges
     /// — the post-mutation list honestly. Call between [`Self::run_events`]
-    /// slices (the endpoint is quiescent there); a ready walker whose node
-    /// was evicted re-fetches it on demand through the endpoint's
-    /// synchronous fallback at its next act. Returns the total number of
-    /// per-edge histories dropped across the fleet.
+    /// slices (the endpoint is quiescent there). A ready walker whose node
+    /// was evicted is re-parked on it, in walker-index order, exactly as
+    /// [`WalkOrchestrator::resume_reactor`] parks it — so a run snapshotted
+    /// after the invalidation resumes bit-identically. Returns the total
+    /// number of per-edge histories dropped across the fleet.
     pub fn invalidate_nodes(&mut self, nodes: &[NodeId]) -> usize {
         let mut dropped = 0;
         for &v in nodes {
@@ -871,6 +886,13 @@ impl ReactorWalkRun {
             for w in &mut self.fleet {
                 dropped += w.invalidate_node(v);
             }
+        }
+        // Re-classify the ready walkers as `init` does: those whose node
+        // was evicted park on it; the rest stay ready.
+        let mut ready = std::mem::take(&mut self.core.ready);
+        ready.sort_unstable();
+        for i in ready {
+            self.core.classify(i, self.fleet[i].current(), &self.state);
         }
         dropped
     }
@@ -915,7 +937,9 @@ impl ReactorWalkRun {
 
     /// Fold the run into the uniform report shape (the `rounds` field
     /// carries the event count), reading the endpoint's interface-side
-    /// accounting delta from `client` as [`crate::CoalescedWalkRun`] does.
+    /// accounting delta for this process lifetime from `client` (measured
+    /// from the first [`Self::run_events`] call after construction or
+    /// resume; endpoint counters do not survive the process).
     pub fn into_report<B: BatchOsnClient>(self, client: &B) -> OrchestratorReport {
         let refused_nodes = self.state.refused_nodes;
         let abandoned_nodes = self.state.abandoned_nodes;
@@ -925,13 +949,10 @@ impl ReactorWalkRun {
             self.core.stats.events,
             self.state.stats,
         );
-        let mut interface = client.stats();
-        if let Some(base) = self.interface_base {
-            interface.issued -= base.issued;
-            interface.unique -= base.unique;
-            interface.cache_hits -= base.cache_hits;
-        }
-        report.interface = Some(interface);
+        report.interface = Some(match self.interface_base {
+            Some(base) => interface_delta(client.stats(), base),
+            None => client.stats(),
+        });
         report.refused_nodes = refused_nodes;
         report.abandoned_nodes = abandoned_nodes;
         report
@@ -941,9 +962,7 @@ impl ReactorWalkRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frontier::SharedFrontier;
     use crate::walkers::Cnrw;
-    use crate::WorkStealing;
     use osn_client::batch::{BatchConfig, SimulatedBatchOsn};
     use osn_client::SimulatedOsn;
     use osn_graph::generators::{clustered_cliques, ClusteredCliquesConfig};
@@ -962,44 +981,56 @@ mod tests {
     }
 
     #[test]
-    fn reactor_matches_coalesced_bit_identically_with_single_batch_waves() {
-        let orch = WalkOrchestrator::new(8, 120, 42);
-        let mut batch = SimulatedBatchOsn::new(
-            clustered(),
-            BatchConfig::new(16).with_latency(0.01, 0.002).with_seed(5),
-        );
-        let coalesced = orch.run_coalesced(&mut batch, make_cnrw, |v| v.index() as f64, &Never);
-        let mut batch2 = SimulatedBatchOsn::new(
-            clustered(),
-            BatchConfig::new(16).with_latency(0.01, 0.002).with_seed(5),
-        );
-        let (reactor, stats) =
-            orch.run_reactor_with_stats(&mut batch2, make_cnrw, |v| v.index() as f64, &Never);
-        assert_eq!(coalesced.trace.per_walker, reactor.trace.per_walker);
-        assert_eq!(coalesced.stops, reactor.stops);
-        assert_eq!(coalesced.trace.stats, reactor.trace.stats);
-        assert_eq!(coalesced.interface, reactor.interface);
-        assert_eq!(coalesced.estimate.mean(), reactor.estimate.mean());
-        assert_eq!(coalesced.rounds, stats.events);
-    }
-
-    #[test]
-    fn reactor_work_stealing_schedule_matches_coalesced() {
-        let orch = WalkOrchestrator::new(6, 200, 9);
-        let make = |i: usize, backend: crate::HistoryBackend| {
-            // Clumped starts inside one clique force restarts.
-            Box::new(Cnrw::with_backend(osn_graph::NodeId(i as u32), backend))
-                as Box<dyn RandomWalk + Send>
+    fn invalidated_ready_walkers_resume_bit_identically() {
+        // Evicting the node a ready walker stands on must re-park it in the
+        // batch queue, exactly as a resume re-parks it — otherwise the live
+        // run fetches through the synchronous fallback and the two diverge.
+        let orch = WalkOrchestrator::new(6, 60, 23);
+        let value = |v: osn_graph::NodeId| v.index() as f64;
+        let endpoint = || {
+            SimulatedBatchOsn::new(
+                clustered(),
+                BatchConfig::new(2).with_latency(0.02, 0.004).with_seed(8),
+            )
         };
-        let mut batch = SimulatedBatchOsn::new(clustered(), BatchConfig::new(16));
-        let policy = WorkStealing::new(1.05, 16, SharedFrontier::with_stripes(8, 16));
-        let coalesced = orch.run_coalesced(&mut batch, make, |v| v.index() as f64, &policy);
-        let mut batch2 = SimulatedBatchOsn::new(clustered(), BatchConfig::new(16));
-        let policy2 = WorkStealing::new(1.05, 16, SharedFrontier::with_stripes(8, 16));
-        let reactor = orch.run_reactor(&mut batch2, make, |v| v.index() as f64, &policy2);
-        assert_eq!(coalesced.restarts, reactor.restarts);
-        assert_eq!(coalesced.trace.per_walker, reactor.trace.per_walker);
-        assert!(!coalesced.restarts.is_empty(), "fixture should restart");
+        let finish = |run: &mut ReactorWalkRun, ep: &mut SimulatedBatchOsn| {
+            while !run.done() {
+                run.run_events(ep, &value, 5);
+            }
+        };
+        let mut exercised = 0;
+        for pause in 1..24 {
+            let mut live_ep = endpoint();
+            let mut live = orch.start_reactor(make_cnrw);
+            live.run_events(&mut live_ep, &value, pause);
+            let ready: Vec<osn_graph::NodeId> = live
+                .core
+                .ready
+                .iter()
+                .map(|&i| live.fleet[i].current())
+                .collect();
+            if ready.is_empty() {
+                continue;
+            }
+            exercised += 1;
+            live.invalidate_nodes(&ready);
+            let snap = live.snapshot();
+            finish(&mut live, &mut live_ep);
+
+            // Bring a second endpoint to the snapshot's state, then resume.
+            let mut resumed_ep = endpoint();
+            orch.start_reactor(make_cnrw)
+                .run_events(&mut resumed_ep, &value, pause);
+            let mut resumed = orch.resume_reactor(&snap, make_cnrw).unwrap();
+            finish(&mut resumed, &mut resumed_ep);
+            assert_eq!(
+                live.snapshot().to_compact(),
+                resumed.snapshot().to_compact(),
+                "pause {pause}"
+            );
+            assert_eq!(live_ep.stats(), resumed_ep.stats(), "pause {pause}");
+        }
+        assert!(exercised > 0, "no pause left a walker ready");
     }
 
     #[test]

@@ -1,16 +1,12 @@
-//! The walk driver: runs any walker against any client, recording the trace.
-//!
-//! Since PR 5 the step loop itself lives in the unified
-//! [`crate::orchestrator`] core — [`WalkSession`] is its single-walker
-//! serial entry point with the classic raw-seed RNG construction, so every
-//! historical trace replays bit-identically.
+//! The single-walk driver: runs any walker against any synchronous client,
+//! recording the trace. Fleets of walkers run on
+//! [`crate::WalkOrchestrator`].
 
 use osn_client::{OsnClient, QueryStats};
 use osn_graph::NodeId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
-use crate::orchestrator::{drive_round_robin, Never};
 use crate::walker::RandomWalk;
 
 /// Configuration of a single walk run.
@@ -90,8 +86,8 @@ pub struct WalkTrace {
 impl WalkTrace {
     /// Assemble a trace from an external driver's parts (no burn-in, no
     /// thinning) — used by the batched dispatch path of
-    /// `osn-experiments::TrialPlan`, whose walks are driven by
-    /// [`crate::CoalescingDispatcher`] rather than a [`WalkSession`].
+    /// `osn-experiments::TrialPlan`, whose walks are driven by the reactor
+    /// ([`crate::reactor::drive_reactor`]) rather than a [`WalkSession`].
     pub fn from_parts(
         start: NodeId,
         nodes: Vec<NodeId>,
@@ -168,21 +164,23 @@ impl WalkSession {
         let start = walker.current();
         // The session's historical contract: the RNG is seeded directly
         // from the config (not a derived stream).
-        let mut rngs = [ChaCha12Rng::seed_from_u64(self.config.seed)];
-        let mut walkers: [&mut dyn RandomWalk; 1] = [walker];
-        let outcome = drive_round_robin(
-            client,
-            &mut walkers,
-            &mut rngs,
-            self.config.max_steps,
-            None::<&fn(NodeId) -> f64>,
-            &Never,
-        );
-        let cell = outcome.cells.into_iter().next().expect("one walker");
+        let mut rng = ChaCha12Rng::seed_from_u64(self.config.seed);
+        let max_steps = self.config.max_steps;
+        let mut nodes = Vec::with_capacity(max_steps.min(1 << 20));
+        let mut stop = WalkStop::MaxSteps;
+        while nodes.len() < max_steps {
+            match walker.step(client, &mut rng) {
+                Ok(v) => nodes.push(v),
+                Err(_) => {
+                    stop = WalkStop::BudgetExhausted;
+                    break;
+                }
+            }
+        }
         WalkTrace {
             start,
-            nodes: cell.trace,
-            stop: cell.stop.unwrap_or(WalkStop::MaxSteps),
+            nodes,
+            stop,
             stats: client.stats(),
             burn_in: self.config.burn_in,
             thinning: self.config.thinning.max(1),

@@ -1,5 +1,5 @@
 //! Batched variant of the Figure 6 setting: **charged unique queries vs
-//! walker count**, coalescing dispatcher against independent walkers.
+//! walker count**, coalesced batches against independent walkers.
 //!
 //! The paper charges one unit per unique neighbor-list fetch (§2.3). A
 //! production crawler running `k` walkers can pay that bill three ways:
@@ -9,10 +9,10 @@
 //! * **shared cache** — the `fig6_parallel` setting: one cache, charged
 //!   once per node, but still one interface call per walker step;
 //! * **coalesced batches** (this sweep) — walkers park their neighbor
-//!   requests in a queue and a dispatcher dedups in-flight ids across
-//!   walkers before fanning them out in batches of at most `B` over the
+//!   requests on the reactor, which dedups queued ids across walkers
+//!   before fanning them out in batches of at most `B` over the
 //!   rate-limited batch endpoint
-//!   ([`osn_walks::CoalescingDispatcher`] over
+//!   ([`osn_walks::WalkOrchestrator::run_reactor`] over
 //!   [`osn_client::SimulatedBatchOsn`]).
 //!
 //! Per-walker trajectories are **identical across the arms** (same
@@ -30,7 +30,7 @@ use osn_datasets::{gplus_like, Scale};
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::NodeId;
 use osn_walks::multiwalk::stream_seed;
-use osn_walks::{Cnrw, MultiWalkRunner, RandomWalk, WalkConfig, WalkSession};
+use osn_walks::{Cnrw, Never, RandomWalk, WalkConfig, WalkOrchestrator, WalkSession};
 
 use crate::output::{ExperimentResult, Series};
 use crate::runner::trial_seed;
@@ -107,8 +107,8 @@ fn independent_charged(network: &Arc<AttributedGraph>, k: usize, steps: usize, s
         .sum()
 }
 
-/// Coalesced arm: the same `k` trajectories through the batching
-/// dispatcher; returns `(charged unique, requests issued)`.
+/// Coalesced arm: the same `k` trajectories through the reactor; returns
+/// `(charged unique, requests issued)`.
 fn coalesced_charged(
     network: &Arc<AttributedGraph>,
     k: usize,
@@ -122,15 +122,17 @@ fn coalesced_charged(
         SimulatedOsn::new_shared(network.clone()),
         BatchConfig::new(batch_size).with_in_flight(in_flight),
     );
-    let report = MultiWalkRunner::new(k, steps, seed).run_batched(
+    let report = WalkOrchestrator::new(k, steps, seed).run_reactor(
         &mut client,
         |i, backend| {
             Box::new(Cnrw::with_backend(start_node(seed, i, n), backend))
                 as Box<dyn RandomWalk + Send>
         },
         |v| v.index() as f64,
+        &Never,
     );
-    (report.interface.unique, client.batch_stats().submitted)
+    let charged = report.interface.expect("reactor reports interface stats");
+    (charged.unique, client.batch_stats().submitted)
 }
 
 /// Run the batched Figure 6 sweep: charged queries vs walker count, one
@@ -140,8 +142,8 @@ pub fn run(config: &Fig6BatchConfig) -> ExperimentResult {
     let steps = config.steps_per_walker;
     let mut result = ExperimentResult::new(
         "fig6_batch",
-        "Google Plus stand-in: charged unique queries at equal steps — coalescing batch \
-         dispatcher vs independent CNRW walkers",
+        "Google Plus stand-in: charged unique queries at equal steps — coalesced reactor \
+         batches vs independent CNRW walkers",
         "Concurrent Walkers",
         "Charged Unique Queries (mean)",
     )
@@ -241,7 +243,7 @@ mod tests {
     #[test]
     fn coalescing_charges_measurably_fewer_queries_than_independent_walkers() {
         // The acceptance property: with 8 walkers on the gplus-like graph
-        // at equal steps, the coalescing dispatcher's charged unique count
+        // at equal steps, the reactor's coalesced charged unique count
         // is measurably below 8 independent walkers' summed bill.
         let network = Arc::new(gplus_like(Scale::Test, 0x0F16_BA7C).network);
         let (steps, seed) = (400usize, trial_seed(0x0F16_BA7C, 1));

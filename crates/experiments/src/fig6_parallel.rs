@@ -10,7 +10,7 @@
 //! history-aware walkers hurt the estimate?* Each walker keeps its own
 //! circulation history (history is per-walker state, not cache state), while
 //! queries are pooled through [`osn_client::SharedOsn`] and per-walker
-//! estimates are merged by [`osn_walks::MultiWalkRunner`].
+//! estimates are merged by [`osn_walks::WalkOrchestrator::run_threaded`].
 
 use std::sync::Arc;
 
@@ -19,7 +19,7 @@ use osn_datasets::{gplus_like, Scale};
 use osn_estimate::metrics::relative_error;
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, MultiWalkRunner, RandomWalk};
+use osn_walks::{Cnrw, Never, RandomWalk, WalkOrchestrator};
 
 use crate::output::{ExperimentResult, Series};
 use crate::runner::trial_seed;
@@ -87,7 +87,7 @@ fn trial_error(
     // Same step-cap rule as `TrialPlan::budgeted`, split across walkers.
     let max_steps = ((budget as usize).saturating_mul(50).max(10_000) / k).max(1_000);
     let graph = &network.graph;
-    let report = MultiWalkRunner::new(k, max_steps, seed).run(
+    let report = WalkOrchestrator::new(k, max_steps, seed).run_threaded(
         &client,
         |i, backend| {
             let start = NodeId(((seed as usize + i * 31) % n) as u32);
@@ -95,6 +95,7 @@ fn trial_error(
         },
         // Average degree: f(v) = k_v, read from the shared snapshot.
         |v| graph.degree(v) as f64,
+        &Never,
     );
     match report.estimate.average_degree() {
         Some(estimate) => relative_error(estimate, truth),
@@ -122,7 +123,7 @@ pub fn run(config: &Fig6ParallelConfig) -> ExperimentResult {
     ))
     .with_note(
         "walkers share one SharedOsn cache + atomic budget; per-walker estimates \
-         merged in walker order (MultiWalkRunner)",
+         merged in walker order (WalkOrchestrator::run_threaded)",
     );
     for &k in &config.walkers {
         let ys: Vec<f64> = config

@@ -11,9 +11,10 @@
 //! high-degree 50-clique goes unseen.
 //!
 //! The two arms run **identical fleets, budgets, seeds, and RNG streams**
-//! through the unified orchestrator's serial backend
-//! ([`osn_walks::WalkOrchestrator::run_serial`]); the only difference is
-//! the restart policy:
+//! through the orchestrator's reactor
+//! ([`osn_walks::WalkOrchestrator::run_reactor`], over a zero-latency
+//! endpoint with one batch slot per walker); the only difference is the
+//! restart policy:
 //!
 //! * `never` — [`osn_walks::Never`]: the classic run;
 //! * `steal` — [`osn_walks::WorkStealing`]: walkers publish the nodes they
@@ -28,7 +29,7 @@
 
 use std::sync::Arc;
 
-use osn_client::{BudgetedClient, SimulatedOsn};
+use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 use osn_graph::attributes::AttributedGraph;
 use osn_graph::NodeId;
 use osn_walks::{
@@ -97,13 +98,16 @@ fn run_trial(
     policy: &dyn RestartPolicy,
 ) -> TrialOutcome {
     let truth = network.graph.average_degree();
-    let n = network.graph.node_count();
     let k = config.walkers;
     // Same step-cap rule as `TrialPlan::budgeted`, split across walkers.
     let max_steps = ((budget as usize).saturating_mul(50).max(10_000) / k).max(1_000);
-    let mut client = BudgetedClient::new(SimulatedOsn::new_shared(network.clone()), budget, n);
+    let mut client = SimulatedBatchOsn::configured(
+        SimulatedOsn::new_shared(network.clone()),
+        BatchConfig::new(k),
+        Some(budget),
+    );
     let graph = &network.graph;
-    let report = WalkOrchestrator::new(k, max_steps, seed).run_serial(
+    let report = WalkOrchestrator::new(k, max_steps, seed).run_reactor(
         &mut client,
         // Clumped adversarial starts: every walker inside the 10-clique.
         |i, backend| {
@@ -165,8 +169,8 @@ pub fn run(config: &Fig6StealConfig) -> ExperimentResult {
         config.rhat_threshold,
     ))
     .with_note(
-        "identical fleets, budgets and RNG streams in both arms (orchestrator serial \
-         backend): the gap is purely the WorkStealing restart policy",
+        "identical fleets, budgets and RNG streams in both arms (orchestrator \
+         reactor): the gap is purely the WorkStealing restart policy",
     );
     let xs: Vec<f64> = config.budgets.iter().map(|&b| b as f64).collect();
 

@@ -22,16 +22,20 @@
 //! batches, window not yet filled) must yield `None`, never a fabricated
 //! verdict; the figure counts both.
 //!
-//! A per-fleet **equivalence spot-check** reruns small fleets through
-//! [`osn_walks::WalkOrchestrator::run_coalesced`] and asserts trace
-//! bit-identity (under `Never` with no budget, traces are
-//! schedule-independent).
+//! A per-fleet **equivalence spot-check** replays every walker of small
+//! fleets alone through a [`osn_walks::WalkSession`] seeded with its
+//! derived stream and asserts trace bit-identity with a one-shot
+//! [`osn_walks::WalkOrchestrator::run_reactor`] (under `Never` with no
+//! budget, traces are schedule-independent, so the replay is an
+//! independent reference).
 
 use osn_client::{BatchConfig, SimulatedBatchOsn, SimulatedOsn};
 use osn_datasets::{gplus_like, Scale};
 use osn_estimate::WindowedSplitRhat;
 use osn_graph::NodeId;
-use osn_walks::{Cnrw, HistoryBackend, Never, RandomWalk, WalkOrchestrator};
+use osn_walks::{
+    Cnrw, HistoryBackend, Never, RandomWalk, WalkConfig, WalkOrchestrator, WalkSession,
+};
 
 use crate::output::{ExperimentResult, Series};
 
@@ -54,8 +58,8 @@ pub struct FigReactorConfig {
     pub probe_chains: usize,
     /// Exact (unclamped) probe window, in samples per chain.
     pub probe_window: usize,
-    /// Fleets up to this size are spot-checked against the coalesced
-    /// backend for trace bit-identity.
+    /// Fleets up to this size are spot-checked against per-walker
+    /// [`WalkSession`] replays for trace bit-identity.
     pub equivalence_cap: usize,
     /// Experiment seed.
     pub seed: u64,
@@ -196,18 +200,27 @@ pub fn run(config: &FigReactorConfig) -> ExperimentResult {
 
         if k <= config.equivalence_cap {
             // Under `Never` with no budget, traces are schedule-independent:
-            // the coalesced backend must reproduce them bit-for-bit.
+            // each walker alone, on its derived stream, must reproduce its
+            // reactor trace bit-for-bit.
             let orch = WalkOrchestrator::new(k, config.max_steps, config.seed);
             let mut subject = config.endpoint(&network);
-            let coalesced =
-                orch.run_coalesced(&mut subject, make_walker(n), |v| v.index() as f64, &Never);
-            let mut reference = config.endpoint(&network);
             let reactor =
-                orch.run_reactor(&mut reference, make_walker(n), |v| v.index() as f64, &Never);
-            assert_eq!(
-                coalesced.trace.per_walker, reactor.trace.per_walker,
-                "fleet {k}: reactor diverged from coalesced"
-            );
+                orch.run_reactor(&mut subject, make_walker(n), |v| v.index() as f64, &Never);
+            for (i, trace) in reactor.trace.per_walker.iter().enumerate() {
+                let mut walker = make_walker(n)(i, orch.backend());
+                let replay = WalkSession::new(
+                    WalkConfig::steps(config.max_steps).with_seed(orch.walker_seed(i)),
+                )
+                .run(
+                    walker.as_mut(),
+                    &mut SimulatedOsn::new_shared(network.clone()),
+                );
+                assert_eq!(
+                    trace.as_slice(),
+                    replay.nodes(),
+                    "fleet {k}: reactor walker {i} diverged from its replay"
+                );
+            }
             equivalence_checked += 1;
         }
         rows.push((k, row));
@@ -242,7 +255,7 @@ pub fn run(config: &FigReactorConfig) -> ExperimentResult {
     ))
     .with_note(format!(
         "equivalence spot-check: {equivalence_checked} fleet(s) <= {} walkers replayed \
-         through the coalesced backend with bit-identical traces",
+         walker by walker through WalkSession with bit-identical traces",
         config.equivalence_cap
     ))
     .with_note(format!(

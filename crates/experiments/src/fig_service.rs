@@ -47,7 +47,7 @@ pub struct FigServiceConfig {
     pub jobs_per_tenant: usize,
     /// Shared unique-query budget all jobs contend for.
     pub budget: u64,
-    /// Scheduling rounds per fair-share slice.
+    /// Reactor completion events per fair-share slice.
     pub rounds_per_slice: usize,
     /// Per-walker step cap upper bound of generated jobs.
     pub max_steps: usize,
@@ -234,7 +234,7 @@ pub fn run(config: &FigServiceConfig) -> ExperimentResult {
         "Share of Charged Queries",
     )
     .with_note(format!(
-        "graph: {} nodes; {} tenants x {} jobs; shared budget {}; {} rounds/slice",
+        "graph: {} nodes; {} tenants x {} jobs; shared budget {}; {} events/slice",
         network.graph.node_count(),
         config.tenants,
         config.jobs_per_tenant,

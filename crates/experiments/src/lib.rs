@@ -11,7 +11,7 @@
 //! | [`table1`] | Table 1 — dataset summary statistics |
 //! | [`fig6`] | Figure 6 — Google Plus: avg-degree relative error vs query cost, 5 algorithms |
 //! | [`fig6_parallel`] | Figure 6, parallel variant — k concurrent CNRW walkers on one shared budget |
-//! | [`fig6_batch`] | Figure 6, batched variant — coalescing batch dispatcher vs independent walkers |
+//! | [`fig6_batch`] | Figure 6, batched variant — coalesced reactor batches vs independent walkers |
 //! | [`fig6_steal`] | Figure 6, work-stealing variant — frontier restarts vs never, NRMSE at fixed budget |
 //! | [`fig7`] | Figure 7 — Facebook KL / ℓ2 / error vs cost; Youtube error vs cost |
 //! | [`fig8`] | Figure 8 — sampling distribution vs theoretical, nodes ordered by degree |

@@ -410,8 +410,8 @@ impl ScheduleSpec {
 ///
 /// Events are held sorted by timestamp; [`due`](Self::due) drains every
 /// event with `at <= now` and advances the cursor, so driving the schedule
-/// off a virtual clock (batch/reactor backends) or a step counter mapped to
-/// time (serial backends) replays the identical mutation sequence. The
+/// off a virtual clock (the reactor) or a step counter mapped to time
+/// (single-walk loops) replays the identical mutation sequence. The
 /// cursor is exported/imported for snapshot/resume.
 #[derive(Clone, Debug, Default)]
 pub struct MutationSchedule {

@@ -12,7 +12,7 @@ use osn_graph::{
 };
 use osn_serde::Value;
 use osn_service::traffic::{populate, TrafficConfig};
-use osn_service::{Algorithm, JobSpec, JobState, ServerConfig, SessionServer, SliceEngine};
+use osn_service::{Algorithm, JobSpec, JobState, ServerConfig, SessionServer};
 
 /// A connected `n`-node graph: ring, chords, and a hub over the even
 /// nodes — enough structure that walks spread and caches overlap.
@@ -197,12 +197,10 @@ fn traffic_exercises_per_id_drops_and_retries() {
     assert!(retries > 0, "whole-request failure injection never fired");
 }
 
-fn engine_server(engine: SliceEngine, budget: Option<u64>, seed: u64) -> SessionServer {
+fn sliced_server(rounds_per_slice: usize, budget: Option<u64>, seed: u64) -> SessionServer {
     let mut server = SessionServer::new(
         soak_endpoint(400, budget),
-        ServerConfig::new()
-            .with_rounds_per_slice(6)
-            .with_engine(engine),
+        ServerConfig::new().with_rounds_per_slice(rounds_per_slice),
     );
     let traffic = TrafficConfig::new(5, 3)
         .with_seed(seed)
@@ -214,12 +212,12 @@ fn engine_server(engine: SliceEngine, budget: Option<u64>, seed: u64) -> Session
 }
 
 #[test]
-fn reactor_engine_matches_rounds_estimates_without_budget() {
-    // Absent a budget, traces are schedule-independent: the reactor engine
-    // must reproduce the rounds engine's per-job estimates and step counts
-    // bit-for-bit even though its slices are metered in completion events.
-    let run = |engine| {
-        let mut server = engine_server(engine, None, 11);
+fn slice_length_does_not_change_estimates_without_budget() {
+    // Absent a budget, traces are schedule-independent: however finely the
+    // server slices a job's completion events, every job's estimate and
+    // step count must come out bit-for-bit the same.
+    let run = |rounds_per_slice| {
+        let mut server = sliced_server(rounds_per_slice, None, 11);
         server.run_to_completion();
         assert!(server.done());
         (0..server.job_count())
@@ -230,27 +228,23 @@ fn reactor_engine_matches_rounds_estimates_without_budget() {
             })
             .collect::<Vec<_>>()
     };
-    let rounds = run(SliceEngine::Rounds);
-    assert!(rounds.iter().any(Option::is_some), "no job completed");
-    assert_eq!(rounds, run(SliceEngine::Reactor));
+    let coarse = run(64);
+    assert!(coarse.iter().any(Option::is_some), "no job completed");
+    assert_eq!(coarse, run(1));
+    assert_eq!(coarse, run(6));
 }
 
 #[test]
-fn reactor_engine_kill_mid_slice_resumes_bit_identically() {
-    // Full-realism endpoint (rate limit, failures, drops, shared budget)
-    // under the reactor engine: kill after k slices, persist through text,
-    // resume, finish — byte-identical to the uninterrupted run. Once every
-    // job has been admitted, the resumed server is configured with the
-    // *Rounds* engine to prove resume keys each mid-walk job off its own
-    // run snapshot, not off the server config (the config engine only
-    // applies to jobs still queued at the kill).
-    let mut reference = engine_server(SliceEngine::Reactor, Some(700), 21);
+fn kill_mid_slice_resumes_bit_identically_under_a_tight_budget() {
+    // Full-realism endpoint (rate limit, failures, drops, a budget the
+    // jobs exhaust): kill after k slices, persist through text, resume,
+    // finish — byte-identical to the uninterrupted run.
+    let mut reference = sliced_server(6, Some(700), 21);
     reference.run_to_completion();
     let reference_final = reference.snapshot().unwrap().to_pretty();
 
-    let mut saw_cross_engine_resume = false;
     for k in [1usize, 7, 23] {
-        let mut killed = engine_server(SliceEngine::Reactor, Some(700), 21);
+        let mut killed = sliced_server(6, Some(700), 21);
         for _ in 0..k {
             if !killed.step() {
                 break;
@@ -267,25 +261,13 @@ fn reactor_engine_kill_mid_slice_resumes_bit_identically() {
         if k > 1 {
             assert!(reactor_runs > 0, "k={k}: no mid-walk reactor run captured");
         }
-        let queued = jobs
-            .iter()
-            .filter(|jv| jv.field("state").unwrap().as_str().unwrap() == "queued")
-            .count();
-        let resume_engine = if queued == 0 {
-            saw_cross_engine_resume = true;
-            SliceEngine::Rounds
-        } else {
-            SliceEngine::Reactor
-        };
         let text = snap.to_pretty();
         drop(killed);
 
         let parsed = Value::parse(&text).unwrap();
         let mut resumed = SessionServer::resume(
             soak_endpoint(400, Some(700)),
-            ServerConfig::new()
-                .with_rounds_per_slice(6)
-                .with_engine(resume_engine),
+            ServerConfig::new().with_rounds_per_slice(6),
             &parsed,
         )
         .unwrap();
@@ -296,10 +278,6 @@ fn reactor_engine_kill_mid_slice_resumes_bit_identically() {
             "k={k}"
         );
     }
-    assert!(
-        saw_cross_engine_resume,
-        "no kill point had every job admitted; cross-engine resume untested"
-    );
 }
 
 /// Seeded mutation batches for the overlay arm, keyed to the scheduling

@@ -11,8 +11,8 @@
 //! — coverage rises with the walker count at no extra query cost. This
 //! example drives the fleet through [`WalkOrchestrator`]: first on the
 //! **threaded** backend over a lock-striped [`SharedOsn`] (one OS thread
-//! per walker) with the [`Never`] policy — the classic PR-2 run — and then
-//! on the deterministic **serial** backend under [`WorkStealing`], where
+//! per walker) with the [`Never`] policy — the classic run — and then on
+//! the deterministic single-threaded **reactor** under [`WorkStealing`], where
 //! walkers publish the nodes they walk through into a [`SharedFrontier`]
 //! and stalled or budget-refused walkers restart from territory the others
 //! discovered.
@@ -112,10 +112,11 @@ fn main() {
          diagnostics, not the coverage, tell you when pooling is safe.\n"
     );
 
-    // The orchestrator's answer: the same fleets on the serial backend,
-    // Never vs WorkStealing, all walkers clumped in the smallest clique
-    // (the adversarial start the fig6_steal experiment sweeps).
-    println!("— serial backend, clumped starts: Never vs WorkStealing —");
+    // The orchestrator's answer: the same fleets on the reactor (a
+    // zero-latency endpoint with one batch slot per walker), Never vs
+    // WorkStealing, all walkers clumped in the smallest clique (the
+    // adversarial start the fig6_steal experiment sweeps).
+    println!("— reactor, clumped starts: Never vs WorkStealing —");
     println!(
         "{:>8} {:>14} {:>14} {:>13}",
         "walkers", "never NRMSE", "steal NRMSE", "relocations"
@@ -127,8 +128,11 @@ fn main() {
             let mut sq_sum = 0.0;
             let mut relocations = 0usize;
             for t in 0..trials {
-                let mut client =
-                    BudgetedClient::new(SimulatedOsn::new_shared(network.clone()), budget, n);
+                let mut client = SimulatedBatchOsn::configured(
+                    SimulatedOsn::new_shared(network.clone()),
+                    BatchConfig::new(k),
+                    Some(budget),
+                );
                 let orch = WalkOrchestrator::new(k, 4_000, 99 + t);
                 let steal_policy;
                 let policy: &dyn RestartPolicy = if steal {
@@ -137,7 +141,7 @@ fn main() {
                 } else {
                     &Never
                 };
-                let report = orch.run_serial(
+                let report = orch.run_reactor(
                     &mut client,
                     |i, backend| {
                         Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), backend))

@@ -34,22 +34,23 @@
 //! Beyond the paper, the workspace scales to **parallel multi-walker
 //! sampling**: [`client::SharedOsn`] is a lock-striped shared cache
 //! (stripe = `fnv(node) % N`, per-stripe hit/miss/contention counters, an
-//! optional atomic global budget) and [`walks::MultiWalkRunner`] schedules K
-//! seeded walkers over scoped threads with deterministic per-walker RNG
-//! streams, merging their estimates through [`estimate::RatioEstimator`].
-//! For **batched I/O** — real OSN APIs expose batch endpoints with bounded
-//! in-flight windows and transient failures — [`client::SimulatedBatchOsn`]
-//! models the endpoint (latency/jitter, deterministic failure injection,
-//! bounded retry, budget charged once per unique node) and
-//! [`walks::CoalescingDispatcher`] parks walker requests in a queue, dedups
-//! ids across walkers, and fans them out in batches, with per-walker traces
-//! bit-identical to serial replay.
+//! optional atomic global budget) and [`walks::WalkOrchestrator::run_threaded`]
+//! schedules K seeded walkers over scoped threads with deterministic
+//! per-walker RNG streams, merging their estimates through
+//! [`estimate::RatioEstimator`]. For **batched I/O** — real OSN APIs expose
+//! batch endpoints with bounded in-flight windows and transient failures —
+//! [`client::SimulatedBatchOsn`] models the endpoint (latency/jitter,
+//! deterministic failure injection, bounded retry, budget charged once per
+//! unique node) and the poll-driven reactor
+//! ([`walks::WalkOrchestrator::run_reactor`]) parks walkers on in-flight
+//! batches, dedups ids across walkers, and fans them out in batches, with
+//! per-walker traces bit-identical to serial replay.
 //!
-//! All three run modes execute on **one unified core**,
-//! [`walks::WalkOrchestrator`]: serial, threaded, and coalesced backends
-//! share the step loop, the per-walker RNG streams, and the stop
-//! bookkeeping, parameterized by a [`walks::RestartPolicy`] —
-//! [`walks::Never`] replays the classic runs bit-identically, while
+//! Both fleet drivers execute on **one core**, [`walks::WalkOrchestrator`]:
+//! the reactor and the threaded backend share the step core, the
+//! per-walker RNG streams, and the stop bookkeeping, parameterized by a
+//! [`walks::RestartPolicy`] — [`walks::Never`] replays the classic runs
+//! bit-identically, while
 //! [`walks::WorkStealing`] restarts stalled or budget-refused walkers from
 //! a lock-striped [`walks::SharedFrontier`] of territory other walkers
 //! discovered, triggered by an online windowed split-R̂
@@ -118,15 +119,14 @@ pub mod prelude {
     };
     pub use osn_serde::Value;
     pub use osn_service::{
-        Estimand, JobResult, JobSpec, JobState, ServerConfig, SessionServer, SliceEngine,
-        TenantSpec, TenantStats, TrafficConfig,
+        Estimand, JobResult, JobSpec, JobState, ServerConfig, SessionServer, TenantSpec,
+        TenantStats, TrafficConfig,
     };
     pub use osn_walks::{
-        ByAttribute, ByDegree, ByHash, Cnrw, CoalescedWalkRun, CoalescingDispatcher,
-        FrontierSampler, Gnrw, GroupPlan, HistoryBackend, Mhrw, MultiWalkReport, MultiWalkRunner,
-        MultiWalkSession, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, PlanMode, RandomWalk,
-        ReactorStats, ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SerialWalkRun,
-        SharedFrontier, Srw, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
+        ByAttribute, ByDegree, ByHash, Cnrw, FrontierSampler, Gnrw, GroupPlan, HistoryBackend,
+        Mhrw, NbCnrw, NbSrw, Never, NodeCnrw, OrchestratorReport, PlanMode, RandomWalk,
+        ReactorStats, ReactorWalkRun, RestartEvent, RestartPolicy, RestartReason, SharedFrontier,
+        Srw, WalkConfig, WalkOrchestrator, WalkSession, WalkerFsm, WorkStealing,
     };
 }
 

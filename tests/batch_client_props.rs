@@ -1,4 +1,4 @@
-//! Property tests for the batched client + coalescing dispatcher.
+//! Property tests for the batched client + the reactor's coalesced dispatch.
 //!
 //! The invariants pinned here are the contract of the batch subsystem:
 //!
@@ -8,7 +8,7 @@
 //! * the batched path is a **pure I/O transformation** of the walk: with
 //!   one walker it replays the serial walk bit-identically, and with K
 //!   walkers every per-walker trace (and the merged estimator) matches the
-//!   threaded `MultiWalkRunner` exactly.
+//!   threaded driver (`WalkOrchestrator::run_threaded`) exactly.
 
 use proptest::prelude::*;
 
@@ -35,19 +35,20 @@ fn batched_report(
     batch_size: usize,
     window: usize,
     seed: u64,
-) -> (osn_sampling::walks::BatchDispatchReport, SimulatedBatchOsn) {
+) -> (OrchestratorReport, SimulatedBatchOsn) {
     let n = network.graph.node_count();
     let mut client = SimulatedBatchOsn::new(
         SimulatedOsn::new_shared(network.clone()),
         BatchConfig::new(batch_size).with_in_flight(window),
     );
-    let report = MultiWalkRunner::new(k, steps, seed).run_batched(
+    let report = WalkOrchestrator::new(k, steps, seed).run_reactor(
         &mut client,
         |i, backend| {
             Box::new(Cnrw::with_backend(NodeId(((i * 13) % n) as u32), backend))
                 as Box<dyn RandomWalk + Send>
         },
         |v| v.index() as f64,
+        &Never,
     );
     (report, client)
 }
@@ -73,15 +74,16 @@ proptest! {
         for trace in &report.trace.per_walker {
             fetched.extend(trace[..trace.len().saturating_sub(1)].iter().map(|v| v.0));
         }
-        prop_assert_eq!(report.interface.unique, fetched.len() as u64);
+        let charged = report.interface.expect("reactor reports interface stats");
+        prop_assert_eq!(charged.unique, fetched.len() as u64);
         // Walker-side and interface-side agree on the charged cost, and the
         // interface never saw a node twice (the dispatcher cache absorbs
         // every revisit).
-        prop_assert_eq!(report.trace.stats.unique, report.interface.unique);
-        prop_assert_eq!(report.interface.cache_hits, 0);
+        prop_assert_eq!(report.trace.stats.unique, charged.unique);
+        prop_assert_eq!(charged.cache_hits, 0);
         // Request accounting is conserved: every accepted id was delivered
         // exactly once (no failures were configured).
-        prop_assert_eq!(client.batch_stats().submitted_ids, report.interface.issued);
+        prop_assert_eq!(client.batch_stats().submitted_ids, charged.issued);
     }
 
     #[test]
@@ -92,12 +94,12 @@ proptest! {
     ) {
         use rand::SeedableRng;
         let network = Arc::new(AttributedGraph::bare(g));
-        let runner = MultiWalkRunner::new(1, 200, seed);
+        let orch = WalkOrchestrator::new(1, 200, seed);
         let (report, _) = batched_report(&network, 1, 200, batch_size, 2, seed);
         // Serial replay with the same derived RNG stream.
         let mut client = SimulatedOsn::new_shared(network.clone());
         let mut walker = Cnrw::new(NodeId(0));
-        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(runner.walker_seed(0));
+        let mut rng = rand_chacha::ChaCha12Rng::seed_from_u64(orch.walker_seed(0));
         let mut serial = Vec::new();
         for _ in 0..200 {
             serial.push(walker.step(&mut client, &mut rng).unwrap());
@@ -108,7 +110,7 @@ proptest! {
     }
 
     #[test]
-    fn k_walker_batched_matches_threaded_runner_exactly(
+    fn k_walker_batched_matches_threaded_driver_exactly(
         g in arb_graph(),
         seed in 0u64..300,
         k in 2usize..6,
@@ -116,14 +118,14 @@ proptest! {
     ) {
         let network = Arc::new(AttributedGraph::bare(g));
         let n = network.graph.node_count();
-        let runner = MultiWalkRunner::new(k, 150, seed);
-        let threaded = runner.run(
+        let threaded = WalkOrchestrator::new(k, 150, seed).run_threaded(
             &SharedOsn::new(SimulatedOsn::new_shared(network.clone())),
             |i, backend| {
                 Box::new(Cnrw::with_backend(NodeId(((i * 13) % n) as u32), backend))
                     as Box<dyn RandomWalk + Send>
             },
             |v| v.index() as f64,
+            &Never,
         );
         let (batched, _) = batched_report(&network, k, 150, batch_size, 3, seed);
         prop_assert_eq!(&batched.trace.per_walker, &threaded.trace.per_walker);
@@ -133,6 +135,6 @@ proptest! {
         prop_assert_eq!(batched.estimate.count(), threaded.estimate.count());
         prop_assert_eq!(batched.estimate.mean(), threaded.estimate.mean());
         // And the charged cost equals the shared-cache runner's.
-        prop_assert_eq!(batched.interface.unique, threaded.trace.stats.unique);
+        prop_assert_eq!(batched.interface.map(|s| s.unique), Some(threaded.trace.stats.unique));
     }
 }

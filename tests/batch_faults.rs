@@ -1,4 +1,4 @@
-//! Fault-injection tests for the batch endpoint + coalescing dispatcher.
+//! Fault-injection tests for the batch endpoint + the reactor's dispatch.
 //!
 //! The failure model is deterministic and seeded (every `k`-th request
 //! attempt drops), so each scenario here replays exactly. The invariants:
@@ -19,7 +19,6 @@ use std::sync::Arc;
 use osn_sampling::client::batch::BatchStats;
 use osn_sampling::graph::attributes::AttributedGraph;
 use osn_sampling::prelude::*;
-use osn_sampling::walks::BatchDispatchReport;
 
 fn clustered_network() -> Arc<AttributedGraph> {
     Arc::new(osn_sampling::datasets::clustered_graph().network)
@@ -28,7 +27,7 @@ fn clustered_network() -> Arc<AttributedGraph> {
 /// The nodes the dispatcher actually fetched: each walker's start plus
 /// every node it *departed from*. A walker's final position is never
 /// fetched — it would only be needed for the step that never happened.
-fn fetched_set(report: &BatchDispatchReport, starts: impl Iterator<Item = u32>) -> HashSet<u32> {
+fn fetched_set(report: &OrchestratorReport, starts: impl Iterator<Item = u32>) -> HashSet<u32> {
     let mut set: HashSet<u32> = starts.collect();
     for trace in &report.trace.per_walker {
         set.extend(trace[..trace.len().saturating_sub(1)].iter().map(|v| v.0));
@@ -43,17 +42,18 @@ fn run_dispatch(
     walkers: usize,
     steps: usize,
     seed: u64,
-) -> (BatchDispatchReport, BatchStats, Option<u64>, f64) {
+) -> (OrchestratorReport, BatchStats, Option<u64>, f64) {
     let n = network.graph.node_count();
     let mut client =
         SimulatedBatchOsn::configured(SimulatedOsn::new_shared(network.clone()), config, budget);
-    let report = MultiWalkRunner::new(walkers, steps, seed).run_batched(
+    let report = WalkOrchestrator::new(walkers, steps, seed).run_reactor(
         &mut client,
         |i, backend| {
             Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
                 as Box<dyn RandomWalk + Send>
         },
         |v| v.index() as f64,
+        &Never,
     );
     let remaining = client.remaining_budget();
     let elapsed = client.clock().elapsed_secs();
@@ -88,15 +88,16 @@ fn injected_drops_are_invisible_to_the_walk_and_charge_nothing_extra() {
     // Drops and retries changed *nothing* observable: identical
     // trajectories, identical charged cost, zero double-charges.
     assert_eq!(faulty.trace.per_walker, clean.trace.per_walker);
-    assert_eq!(faulty.interface.unique, clean.interface.unique);
+    let (clean_charged, faulty_charged) = (clean.interface.unwrap(), faulty.interface.unwrap());
+    assert_eq!(faulty_charged.unique, clean_charged.unique);
     let fetched = fetched_set(
         &faulty,
         (0..WALKERS).map(|i| ((i * 17) % network.graph.node_count()) as u32),
     );
-    assert_eq!(faulty.interface.unique, fetched.len() as u64);
+    assert_eq!(faulty_charged.unique, fetched.len() as u64);
     // Every delivered id was delivered exactly once (the charged requests
     // are conserved; only the attempt count grew).
-    assert_eq!(faulty_stats.submitted_ids, faulty.interface.issued);
+    assert_eq!(faulty_stats.submitted_ids, faulty_charged.issued);
     assert_eq!(clean_stats.submitted_ids, faulty_stats.submitted_ids);
     assert_eq!(
         faulty_stats.attempts,
@@ -149,7 +150,8 @@ fn shared_budget_is_never_oversold_under_failures() {
     let (report, _, remaining, _) = run_dispatch(&network, config, Some(BUDGET), 8, 10_000, 0xBEEF);
 
     assert_eq!(
-        report.interface.unique, BUDGET,
+        report.interface.unwrap().unique,
+        BUDGET,
         "exactly the budget, never more"
     );
     assert_eq!(remaining, Some(0));
@@ -171,9 +173,8 @@ fn shared_budget_is_never_oversold_under_failures() {
 
 #[test]
 fn always_failing_interface_terminates_cleanly_without_charging() {
-    use rand::SeedableRng;
     // failure_every = 1 with zero retries: every request permanently
-    // drops. The dispatcher must abandon each node after its bounded
+    // drops. The reactor must abandon each node after its bounded
     // resubmission cap and terminate every walker — not hang, not charge.
     let network = clustered_network();
     let mut client = SimulatedBatchOsn::new(
@@ -182,18 +183,13 @@ fn always_failing_interface_terminates_cleanly_without_charging() {
             .with_failure_every(1)
             .with_max_retries(0),
     );
-    let mut walkers: Vec<Box<dyn RandomWalk + Send>> = (0..3)
-        .map(|i| Box::new(Cnrw::new(NodeId(i as u32))) as Box<dyn RandomWalk + Send>)
-        .collect();
-    let mut rngs: Vec<rand_chacha::ChaCha12Rng> = (0..3)
-        .map(|i| rand_chacha::ChaCha12Rng::seed_from_u64(i as u64))
-        .collect();
-    let report = CoalescingDispatcher::new(100).with_node_attempt_cap(4).run(
-        &mut client,
-        &mut walkers,
-        &mut rngs,
-        |_| 1.0,
-    );
+    let mut run = WalkOrchestrator::new(3, 100, 1)
+        .start_reactor(|i, backend| {
+            Box::new(Cnrw::with_backend(NodeId(i as u32), backend)) as Box<dyn RandomWalk + Send>
+        })
+        .with_node_attempt_cap(4);
+    while run.run_events(&mut client, &|_: NodeId| 1.0, usize::MAX) > 0 {}
+    let report = run.into_report(&client);
 
     assert_eq!(report.abandoned_nodes, 3, "every start node abandoned");
     assert!(report.trace.per_walker.iter().all(Vec::is_empty));

@@ -1,9 +1,11 @@
 //! Golden-trace regression test for the batched dispatch path.
 //!
 //! A committed fixture (`tests/fixtures/cnrw_batch_clustered.txt`) pins the
-//! exact node sequences of two CNRW walkers driven by the coalescing
-//! dispatcher over the clustered graph, fault injection included. Any
-//! future dispatcher refactor that reorders RNG consumption, changes batch
+//! exact node sequences of two CNRW walkers driven in lockstep waves (the
+//! batch size covers the fleet) over the clustered graph, fault injection
+//! included. The fixture was first rendered by the retired round-based
+//! coalescing dispatcher; the reactor reproduces it byte for byte. Any
+//! future refactor that reorders RNG consumption, changes batch
 //! composition in a way that leaks into trajectories, or perturbs the
 //! charged accounting will fail this test instead of silently drifting.
 //!
@@ -33,13 +35,14 @@ fn render_golden() -> String {
         .with_failure_every(7)
         .with_max_retries(2);
     let mut client = SimulatedBatchOsn::new(SimulatedOsn::new_shared(network.clone()), config);
-    let report = MultiWalkRunner::new(WALKERS, STEPS, SEED).run_batched(
+    let report = WalkOrchestrator::new(WALKERS, STEPS, SEED).run_reactor(
         &mut client,
         |i, backend| {
             Box::new(Cnrw::with_backend(NodeId(((i * 17) % n) as u32), backend))
                 as Box<dyn RandomWalk + Send>
         },
         |v| v.index() as f64,
+        &Never,
     );
     let stats = client.batch_stats();
     let mut out = String::new();
@@ -63,7 +66,8 @@ fn render_golden() -> String {
         let nodes: Vec<String> = trace.iter().map(|v| v.0.to_string()).collect();
         let _ = writeln!(out, "walker{i}: {}", nodes.join(" "));
     }
-    let _ = writeln!(out, "charged_unique: {}", report.interface.unique);
+    let charged = report.interface.expect("reactor reports interface stats");
+    let _ = writeln!(out, "charged_unique: {}", charged.unique);
     let _ = writeln!(out, "requests: {}", stats.submitted);
     let _ = writeln!(out, "attempts: {}", stats.attempts);
     let _ = writeln!(out, "retries: {}", stats.retries);

@@ -4,7 +4,8 @@
 //! A committed fixture (`tests/fixtures/walks_compact_clustered.txt`) pins
 //! the exact node sequences of CNRW, GNRW, and NB-CNRW over the clustered
 //! graph's [`CompactCsr`] snapshot — both the serial step loop and the
-//! coalescing batch dispatcher — plus the charged accounting. The same
+//! batched reactor path (the fixture's `coalesced` rows) — plus the
+//! charged accounting. The same
 //! run is also asserted bit-identical to the plain-CSR client in-process,
 //! so the fixture pins *absolute* trajectories while the differential
 //! check localizes a failure: fixture-only drift means the walk stack

@@ -52,15 +52,22 @@ fn rate_limit_time_is_proportional_to_unique_queries() {
 #[test]
 fn budget_composes_with_rate_limit_and_multiwalk() {
     let network = Arc::new(facebook_like(Scale::Test, 4).network);
-    let n = network.graph.node_count();
-    let inner = SimulatedOsn::new_shared(network.clone());
-    let limited = RateLimitedOsn::new(inner, RateLimitConfig::twitter());
-    let mut client = BudgetedClient::new(limited, 30, n);
-
-    let mut walkers: Vec<Box<dyn RandomWalk + Send>> = (0..3)
-        .map(|i| Box::new(Cnrw::new(NodeId(i * 7))) as Box<dyn RandomWalk + Send>)
-        .collect();
-    let trace = MultiWalkSession::new(2_000, 5).run(&mut walkers, &mut client);
+    let mut client = SimulatedBatchOsn::configured(
+        SimulatedOsn::new_shared(network.clone()),
+        BatchConfig::new(3).with_rate_limit(RateLimitConfig::twitter()),
+        Some(30),
+    );
+    let trace = WalkOrchestrator::new(3, 2_000, 5)
+        .run_reactor(
+            &mut client,
+            |i, backend| {
+                Box::new(Cnrw::with_backend(NodeId(i as u32 * 7), backend))
+                    as Box<dyn RandomWalk + Send>
+            },
+            |_| 1.0,
+            &Never,
+        )
+        .trace;
     assert!(
         trace.stats.unique <= 30,
         "budget leaked: {}",

@@ -9,12 +9,12 @@
 //!   a visited trace node, or a previously stolen target — which by
 //!   induction bottoms out in starts and trace nodes. The frontier can
 //!   never invent territory the fleet did not pay to discover.
-//! * **Seeded determinism** — the serial (round-robin) backend's whole run,
-//!   restart schedule included, is a pure function of the seed.
-//! * **Cross-backend schedule equality** — the serial and coalesced
-//!   backends consult the policy at the same round boundaries over the
-//!   same RNG streams, so they produce identical traces *and* identical
-//!   restart schedules, batching notwithstanding.
+//! * **Seeded determinism** — the reactor's whole run, restart schedule
+//!   included, is a pure function of the seed (the committed fixture
+//!   `tests/fixtures/cnrw_steal_budget_clustered.txt` pins one such run).
+//! * **Wave schedule** — while every wave fits one batch, surplus batch
+//!   capacity or in-flight window changes neither the traces nor the
+//!   restart schedule.
 
 use proptest::prelude::*;
 
@@ -43,8 +43,9 @@ fn clustered_network() -> Arc<AttributedGraph> {
     Arc::new(osn_sampling::datasets::clustered_graph().network)
 }
 
-/// Run the clumped-start clustered scenario on the serial backend.
-fn serial_steal_run(
+/// Run the clumped-start clustered scenario on the reactor over a
+/// zero-latency endpoint with one batch slot per walker.
+fn reactor_steal_run(
     network: &Arc<AttributedGraph>,
     k: usize,
     steps: usize,
@@ -52,23 +53,21 @@ fn serial_steal_run(
     seed: u64,
     policy: &dyn RestartPolicy,
 ) -> OrchestratorReport {
-    let n = network.graph.node_count();
     let graph = &network.graph;
     let make = |i: usize, b| {
         Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), b)) as Box<dyn RandomWalk + Send>
     };
-    let orch = WalkOrchestrator::new(k, steps, seed);
-    match budget {
-        Some(budget) => {
-            let mut client =
-                BudgetedClient::new(SimulatedOsn::new_shared(network.clone()), budget, n);
-            orch.run_serial(&mut client, make, |v| graph.degree(v) as f64, policy)
-        }
-        None => {
-            let mut client = SimulatedOsn::new_shared(network.clone());
-            orch.run_serial(&mut client, make, |v| graph.degree(v) as f64, policy)
-        }
-    }
+    let mut client = SimulatedBatchOsn::configured(
+        SimulatedOsn::new_shared(network.clone()),
+        BatchConfig::new(k),
+        budget,
+    );
+    WalkOrchestrator::new(k, steps, seed).run_reactor(
+        &mut client,
+        make,
+        |v| graph.degree(v) as f64,
+        policy,
+    )
 }
 
 /// Starts ∪ trace nodes — the territory the fleet actually occupied.
@@ -95,8 +94,11 @@ proptest! {
         let frontier = SharedFrontier::with_stripes(4, 8);
         let policy = WorkStealing::new(1.05, 8, frontier.clone());
         let graph = network.graph.clone();
-        let mut client = SimulatedOsn::new_shared(network.clone());
-        let report = WalkOrchestrator::new(k, steps, seed).run_serial(
+        let mut client = SimulatedBatchOsn::new(
+            SimulatedOsn::new_shared(network.clone()),
+            BatchConfig::new(k),
+        );
+        let report = WalkOrchestrator::new(k, steps, seed).run_reactor(
             &mut client,
             |i, b| Box::new(Cnrw::with_backend(NodeId((i % n) as u32), b)) as _,
             |v| graph.degree(v) as f64,
@@ -135,7 +137,7 @@ fn work_stealing_schedule_is_a_function_of_the_seed() {
     let network = clustered_network();
     let run = |seed: u64| {
         let policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-        let report = serial_steal_run(&network, 6, 600, Some(45), seed, &policy);
+        let report = reactor_steal_run(&network, 6, 600, Some(45), seed, &policy);
         (
             report.trace.per_walker.clone(),
             report.stops.clone(),
@@ -163,7 +165,7 @@ fn rescues_target_cached_territory_and_respect_the_budget() {
     let network = clustered_network();
     let budget = 40u64;
     let policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-    let report = serial_steal_run(&network, 6, 800, Some(budget), 11, &policy);
+    let report = reactor_steal_run(&network, 6, 800, Some(budget), 11, &policy);
     let seen = occupied(&report, 6);
     let rescues: Vec<_> = report
         .restarts
@@ -182,59 +184,43 @@ fn rescues_target_cached_territory_and_respect_the_budget() {
 }
 
 #[test]
-fn serial_and_coalesced_backends_agree_on_traces_and_restart_schedule() {
-    // The unified core's headline cross-backend property, exercised with
-    // an *active* policy (the `Never` equivalences are pinned elsewhere):
-    // round-based backends share boundaries, streams, and steal outcomes.
+fn work_stealing_schedule_ignores_surplus_batch_capacity() {
+    // With an *active* policy (the `Never` equivalences are pinned
+    // elsewhere): while each wave of the 5-walker fleet fits one batch,
+    // every event is one lockstep wave, so extra batch slots or a wider
+    // in-flight window change neither the traces nor the restart schedule.
     let network = clustered_network();
     let graph = network.graph.clone();
     let make = |i: usize, b| {
         Box::new(Cnrw::with_backend(NodeId((i % 10) as u32), b)) as Box<dyn RandomWalk + Send>
     };
     let orch = WalkOrchestrator::new(5, 400, 21);
-
-    let serial_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-    let mut serial_client = SimulatedOsn::new_shared(network.clone());
-    let serial = orch.run_serial(
-        &mut serial_client,
-        make,
-        |v| graph.degree(v) as f64,
-        &serial_policy,
-    );
-
-    for batch_size in [1usize, 4, 16] {
-        let coalesced_policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
-        let mut batch_client = SimulatedBatchOsn::new(
-            SimulatedOsn::new_shared(network.clone()),
-            BatchConfig::new(batch_size).with_in_flight(2),
-        );
-        let coalesced = orch.run_coalesced(
-            &mut batch_client,
-            make,
-            |v| graph.degree(v) as f64,
-            &coalesced_policy,
-        );
-        assert_eq!(
-            serial.trace.per_walker, coalesced.trace.per_walker,
-            "batch_size={batch_size}"
-        );
-        assert_eq!(
-            serial.restarts, coalesced.restarts,
-            "batch_size={batch_size}"
-        );
-        assert_eq!(serial.estimate.count(), coalesced.estimate.count());
-        assert_eq!(serial.estimate.mean(), coalesced.estimate.mean());
-    }
+    let run = |config: BatchConfig| {
+        let policy = WorkStealing::new(1.1, 16, SharedFrontier::with_stripes(8, 16));
+        let mut client = SimulatedBatchOsn::new(SimulatedOsn::new_shared(network.clone()), config);
+        orch.run_reactor(&mut client, make, |v| graph.degree(v) as f64, &policy)
+    };
+    let tight = run(BatchConfig::new(5));
     assert!(
-        !serial.restarts.is_empty(),
+        !tight.restarts.is_empty(),
         "scenario must exercise the policy"
     );
+    for config in [
+        BatchConfig::new(16).with_in_flight(2),
+        BatchConfig::new(64).with_in_flight(4),
+    ] {
+        let roomy = run(config);
+        assert_eq!(tight.trace.per_walker, roomy.trace.per_walker);
+        assert_eq!(tight.restarts, roomy.restarts);
+        assert_eq!(tight.estimate.count(), roomy.estimate.count());
+        assert_eq!(tight.estimate.mean(), roomy.estimate.mean());
+    }
 }
 
 #[test]
 fn threaded_backend_runs_work_stealing_without_perturbing_accounting() {
     // Thread interleaving may reorder publishes (the restart schedule is
-    // allowed to differ from the serial backend's), but the run must
+    // allowed to differ from the reactor's), but the run must
     // complete, respect the shared budget, and only relocate into visited
     // territory.
     let network = clustered_network();

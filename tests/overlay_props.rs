@@ -9,14 +9,13 @@
 //! * **Reads** — neighbor lists and degrees through the overlay match the
 //!   rebuilt graph node for node (undirected and directed snapshots).
 //! * **Walks** — traces over the overlay client are bit-identical to
-//!   traces over the rebuilt client, for CNRW, NB-CNRW, and GNRW, across
-//!   all three execution backends: the serial step loop, the coalescing
-//!   dispatcher, and the poll-driven reactor (full-report equality,
-//!   accounting included).
+//!   traces over the rebuilt client, for CNRW, NB-CNRW, and GNRW, on the
+//!   serial step loop and on the poll-driven reactor, pipelined or in
+//!   lockstep waves (full-report equality, accounting included).
 //! * **Mid-walk mutation** — applying a batch between slices and calling
-//!   `invalidate_nodes` keeps serial, coalesced, and reactor runs in
-//!   lockstep with each other (trace-for-trace), so no backend's cache
-//!   can serve a stale neighbor list.
+//!   `invalidate_nodes` keeps a reactor run in lockstep with a hand-driven
+//!   serial fleet mutated at the same step (trace-for-trace), so the
+//!   reactor's dispatcher cache can never serve a stale neighbor list.
 //! * **Coverage after invalidation** — Theorem 4's exactly-once
 //!   circulation guarantee restarts on the *post-mutation* neighborhood:
 //!   windows of draws after repeated transits of a hot edge are exact
@@ -186,9 +185,10 @@ proptest! {
         }
     }
 
-    /// Orchestrated coalesced and reactor runs over the overlay produce
-    /// the full report — traces, stops, interface accounting, estimate —
-    /// of the identical run over the rebuilt snapshot.
+    /// Orchestrated reactor runs over the overlay — pipelined through
+    /// narrow batches and in lockstep waves — produce the full report
+    /// (traces, stops, interface accounting, estimate) of the identical
+    /// run over the rebuilt snapshot.
     #[test]
     fn orchestrated_backends_are_bit_identical_over_overlay(
         g in arb_graph(),
@@ -211,9 +211,9 @@ proptest! {
 
         let mut a = endpoint(client.clone(), 2);
         let mut b = endpoint(rebuilt.clone(), 2);
-        let coal_a = orch.run_coalesced(&mut a, make_fleet(kind, starts.clone()), value, &Never);
-        let coal_b = orch.run_coalesced(&mut b, make_fleet(kind, starts.clone()), value, &Never);
-        assert_reports_identical(&coal_a, &coal_b);
+        let piped_a = orch.run_reactor(&mut a, make_fleet(kind, starts.clone()), value, &Never);
+        let piped_b = orch.run_reactor(&mut b, make_fleet(kind, starts.clone()), value, &Never);
+        assert_reports_identical(&piped_a, &piped_b);
 
         let mut a = endpoint(client.clone(), k);
         let mut b = endpoint(rebuilt.clone(), k);
@@ -222,12 +222,12 @@ proptest! {
         assert_reports_identical(&react_a, &react_b);
     }
 
-    /// Mid-walk mutation: apply the same batch to each backend's client at
-    /// the same slice boundary, `invalidate_nodes` the touched set, and
-    /// the three backends stay in lockstep — trace for trace, stop for
-    /// stop. No dispatcher or reactor cache may serve a stale list.
+    /// Mid-walk mutation: apply the same batch at the same step boundary
+    /// to a hand-driven serial fleet and to a lockstep reactor run,
+    /// invalidate the touched set, and the two stay in lockstep — trace
+    /// for trace, stop for stop. No reactor cache may serve a stale list.
     #[test]
-    fn midwalk_mutation_keeps_backends_in_lockstep(
+    fn midwalk_mutation_keeps_reactor_in_lockstep_with_serial_fleet(
         g in arb_graph(),
         events in 1usize..40,
         delete_pct in 0u8..10,
@@ -251,27 +251,36 @@ proptest! {
         let value = |v: NodeId| v.index() as f64;
         let cut = cut.min(steps.saturating_sub(1)).max(1);
 
-        // Serial.
+        // Serial reference: each walker on its derived stream, `cut` steps
+        // over the base graph, then the mutation, then the rest. Between
+        // mutations the client is immutable, so per-walker order is moot.
+        let make = make_fleet(kind, starts.clone());
+        let mut fleet: Vec<_> = (0..k).map(|i| make(i, orch.backend())).collect();
+        let mut rngs: Vec<ChaCha12Rng> = (0..k)
+            .map(|i| ChaCha12Rng::seed_from_u64(orch.walker_seed(i)))
+            .collect();
+        let mut traces: Vec<Vec<NodeId>> = vec![Vec::new(); k];
         let mut sc = base.clone();
-        let mut serial = orch.start_serial(make_fleet(kind, starts.clone()));
-        serial.run_rounds(&mut sc, &value, cut);
+        for (i, walker) in fleet.iter_mut().enumerate() {
+            while traces[i].len() < cut {
+                traces[i].push(walker.step(&mut sc, &mut rngs[i]).unwrap());
+            }
+        }
         let touched = sc.apply_mutations(&batch);
-        serial.invalidate_nodes(&touched);
-        serial.run_rounds(&mut sc, &value, usize::MAX);
-        let serial_report = serial.into_report(sc.stats());
+        for walker in &mut fleet {
+            for &v in &touched {
+                walker.invalidate_node(v);
+            }
+        }
+        for (i, walker) in fleet.iter_mut().enumerate() {
+            while traces[i].len() < steps {
+                traces[i].push(walker.step(&mut sc, &mut rngs[i]).unwrap());
+            }
+        }
 
-        // Coalesced, lockstep shape (batch >= K): one round per event.
-        let mut cc = endpoint(base.clone(), k);
-        let mut coalesced = orch.start_coalesced(make_fleet(kind, starts.clone()));
-        coalesced.run_rounds(&mut cc, &value, cut);
-        let touched_c = cc.apply_mutations(&batch);
-        prop_assert_eq!(&touched, &touched_c);
-        coalesced.invalidate_nodes(&touched_c);
-        coalesced.run_rounds(&mut cc, &value, usize::MAX);
-        let coalesced_report = coalesced.into_report(&cc);
-
-        // Reactor, same lockstep shape: slices quiesce in-flight I/O, so
-        // `cut` events land on the same step boundary as `cut` rounds.
+        // Reactor, lockstep shape (batch >= K): slices quiesce in-flight
+        // I/O and each event is one wave, so `cut` events land on the
+        // same step boundary as `cut` serial steps.
         let mut rc = endpoint(base.clone(), k);
         let mut reactor = orch.start_reactor(make_fleet(kind, starts.clone()));
         reactor.run_events(&mut rc, &value, cut);
@@ -281,14 +290,11 @@ proptest! {
         reactor.run_events(&mut rc, &value, usize::MAX);
         let reactor_report = reactor.into_report(&rc);
 
-        prop_assert_eq!(&serial_report.trace.per_walker, &coalesced_report.trace.per_walker);
-        prop_assert_eq!(&serial_report.stops, &coalesced_report.stops);
-        prop_assert_eq!(&coalesced_report.trace.per_walker, &reactor_report.trace.per_walker);
-        prop_assert_eq!(&coalesced_report.stops, &reactor_report.stops);
-        prop_assert_eq!(
-            coalesced_report.estimate.mean().map(f64::to_bits),
-            reactor_report.estimate.mean().map(f64::to_bits)
-        );
+        prop_assert_eq!(&traces, &reactor_report.trace.per_walker);
+        prop_assert!(reactor_report
+            .stops
+            .iter()
+            .all(|s| *s == osn_sampling::walks::WalkStop::MaxSteps));
     }
 }
 

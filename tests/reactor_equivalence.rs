@@ -1,22 +1,23 @@
 //! The reactor backend's determinism/equivalence pin (see
 //! `osn_sampling::walks::reactor`).
 //!
-//! Three equivalence arms, each a property over arbitrary graphs, fleet
-//! sizes, budgets, and endpoint shapes:
+//! Three arms, each a property over arbitrary graphs, fleet sizes,
+//! budgets, and endpoint shapes:
 //!
 //! * **Arm A — schedule independence.** Under [`Never`] with no budget,
 //!   traces depend only on the walk randomness, not on how I/O is
 //!   scheduled: for *any* batch shape, latency model, whole-request
 //!   failure injection, and per-id drops (as long as nothing is
-//!   abandoned), the reactor reproduces the coalesced run's traces,
-//!   stops, and estimate bit-for-bit.
-//! * **Arm B — lockstep bit-identity.** With `max_batch_size >= K` every
-//!   reactor event is one coalesced round, so the *entire* report —
-//!   charges, interface accounting, refusals under a budget, round
-//!   counts — is identical.
-//! * **Arm C — restart schedules.** The lockstep equivalence extends to
+//!   abandoned), every walker's trace equals a lone [`WalkSession`] replay
+//!   seeded with its derived stream, and the estimate and walker-side
+//!   accounting follow from those replays bit-for-bit.
+//! * **Arm B — lockstep waves.** With `max_batch_size >= K` every reactor
+//!   event is one wave of the fleet in one request, so surplus batch
+//!   capacity, a wider in-flight window, and latency change *nothing* —
+//!   charges, interface accounting, refusals under a budget, event counts.
+//! * **Arm C — restart schedules.** The lockstep invariance extends to
 //!   [`WorkStealing`]: the full restart schedule (who, when, where to)
-//!   matches the coalesced run's.
+//!   does not move either.
 //!
 //! Plus seeded determinism (same seed → same run, different seed →
 //! different run) and a 10k-walker case witnessing the O(active batches)
@@ -93,6 +94,44 @@ fn make_cnrw(n: usize) -> impl Fn(usize, HistoryBackend) -> Box<dyn RandomWalk +
     }
 }
 
+/// Assert `report` is what its walkers produce alone: walker `i` replayed
+/// through a [`WalkSession`] seeded with `orch.walker_seed(i)` must give
+/// its trace and stop, the replays' estimators merged in walker order its
+/// estimate, and the replays' queried nodes its walker-side accounting.
+fn assert_matches_replays(g: &CsrGraph, orch: &WalkOrchestrator, report: &OrchestratorReport) {
+    let n = g.node_count();
+    let steps = orch.max_steps_per_walker();
+    let mut merged = RatioEstimator::new();
+    let mut queried = std::collections::HashSet::new();
+    let mut issued = 0u64;
+    for (i, trace) in report.trace.per_walker.iter().enumerate() {
+        let mut walker = make_cnrw(n)(i, orch.backend());
+        let start = walker.current();
+        let replay = WalkSession::new(WalkConfig::steps(steps).with_seed(orch.walker_seed(i)))
+            .run(walker.as_mut(), &mut SimulatedOsn::from_graph(g.clone()));
+        assert_eq!(trace.as_slice(), replay.nodes(), "walker {i}");
+        assert_eq!(report.stops[i], replay.stop, "walker {i}");
+        let mut est = RatioEstimator::new();
+        for &v in replay.nodes() {
+            est.push(v.index() as f64, g.degree(v));
+        }
+        merged.merge(&est);
+        // One neighbor query per step, from the node the step departs.
+        issued += replay.len() as u64;
+        if !replay.is_empty() {
+            queried.insert(start);
+            queried.extend(&replay.nodes()[..replay.len() - 1]);
+        }
+    }
+    assert_eq!(
+        report.estimate.mean().map(f64::to_bits),
+        merged.mean().map(f64::to_bits)
+    );
+    assert_eq!(report.estimate.count(), merged.count());
+    assert_eq!(report.trace.stats.issued, issued);
+    assert_eq!(report.trace.stats.unique, queried.len() as u64);
+}
+
 /// Full-report equality: traces, stops, walker-side stats, interface-side
 /// stats, estimate, refusal/abandonment accounting, restart schedule.
 fn assert_reports_identical(a: &OrchestratorReport, b: &OrchestratorReport) {
@@ -125,33 +164,23 @@ proptest! {
     ) {
         let n = g.node_count();
         let orch = WalkOrchestrator::new(k, steps, seed);
-
-        let mut reference = endpoint(&g, &shape, None);
-        let coalesced =
-            orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &Never);
         let mut subject = endpoint(&g, &shape, None);
         let reactor =
             orch.run_reactor(&mut subject, make_cnrw(n), |v| v.index() as f64, &Never);
 
         // Abandonment (a node dropped past the attempt cap) is the one
         // fault that may legitimately alter a trajectory; skip such cases.
-        if coalesced.abandoned_nodes > 0 || reactor.abandoned_nodes > 0 {
+        if reactor.abandoned_nodes > 0 {
             return Ok(());
         }
-
-        prop_assert_eq!(&coalesced.trace.per_walker, &reactor.trace.per_walker);
-        prop_assert_eq!(&coalesced.stops, &reactor.stops);
-        prop_assert_eq!(coalesced.trace.stats, reactor.trace.stats);
-        prop_assert_eq!(
-            coalesced.estimate.mean().map(f64::to_bits),
-            reactor.estimate.mean().map(f64::to_bits)
-        );
+        assert_matches_replays(&g, &orch, &reactor);
     }
 
-    /// Arm B: with `max_batch_size >= K` every event is one coalesced
-    /// round — the whole report is bit-identical, budget included.
+    /// Arm B: with `max_batch_size >= K` every event is one wave in one
+    /// request — surplus capacity, window, and latency change nothing in
+    /// the report, budget included.
     #[test]
-    fn arm_b_lockstep_is_bit_identical_with_budget(
+    fn arm_b_lockstep_ignores_surplus_capacity_with_budget(
         g in arb_graph(),
         k in 1usize..10,
         steps in 1usize..150,
@@ -159,23 +188,35 @@ proptest! {
         // < 5 means unlimited; otherwise a live shared budget.
         raw_budget in 0u64..200,
         latency in 0u8..3,
+        surplus in 0usize..6,
+        window in 1usize..5,
     ) {
         let budget = (raw_budget >= 5).then_some(raw_budget);
         let n = g.node_count();
         let orch = WalkOrchestrator::new(k, steps, seed);
-        let shape = Shape {
-            batch: k.max(1),
-            window: 4,
-            latency: (latency as f64 * 0.01, 0.002),
+        let tight = Shape {
+            batch: k,
+            window: 1,
+            latency: (0.0, 0.0),
             per_id: 0.0,
             failure_every: 0,
             drop_every: 0,
         };
+        let roomy = Shape {
+            batch: k + surplus,
+            window,
+            latency: (latency as f64 * 0.01, 0.002),
+            ..tight.clone()
+        };
 
-        let mut reference = endpoint(&g, &shape, budget);
-        let coalesced =
-            orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &Never);
-        let mut subject = endpoint(&g, &shape, budget);
+        let mut reference = endpoint(&g, &tight, budget);
+        let (expected, expected_stats) = orch.run_reactor_with_stats(
+            &mut reference,
+            make_cnrw(n),
+            |v| v.index() as f64,
+            &Never,
+        );
+        let mut subject = endpoint(&g, &roomy, budget);
         let (reactor, stats) = orch.run_reactor_with_stats(
             &mut subject,
             make_cnrw(n),
@@ -183,42 +224,53 @@ proptest! {
             &Never,
         );
 
-        assert_reports_identical(&coalesced, &reactor);
-        prop_assert_eq!(coalesced.rounds, stats.events);
+        assert_reports_identical(&expected, &reactor);
+        prop_assert_eq!(expected_stats.events, stats.events);
+        prop_assert_eq!(stats.peak_in_flight, 1, "one wave, one request");
+        if budget.is_none() {
+            assert_matches_replays(&g, &orch, &reactor);
+        }
     }
 
-    /// Arm C: the lockstep equivalence extends to `WorkStealing` — the
-    /// restart schedule matches the coalesced run's, restart for restart.
+    /// Arm C: the lockstep invariance extends to `WorkStealing` — the
+    /// restart schedule does not move, restart for restart.
     #[test]
-    fn arm_c_work_stealing_schedules_match(
+    fn arm_c_work_stealing_schedules_ignore_surplus_capacity(
         g in arb_graph(),
         k in 2usize..8,
         steps in 50usize..250,
         seed in 0u64..500,
         threshold in 0u8..3,
+        surplus in 0usize..6,
     ) {
         let n = g.node_count();
         let orch = WalkOrchestrator::new(k, steps, seed);
-        let shape = Shape {
+        let tight = Shape {
             batch: k,
-            window: 4,
+            window: 1,
             latency: (0.0, 0.0),
             per_id: 0.0,
             failure_every: 0,
             drop_every: 0,
         };
+        let roomy = Shape {
+            batch: k + surplus,
+            window: 4,
+            latency: (0.01, 0.002),
+            ..tight.clone()
+        };
         let rhat = 1.02 + threshold as f64 * 0.04;
 
-        let mut reference = endpoint(&g, &shape, None);
+        let mut reference = endpoint(&g, &tight, None);
         let policy = WorkStealing::new(rhat, 16, SharedFrontier::with_stripes(8, 16));
-        let coalesced =
-            orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &policy);
-        let mut subject = endpoint(&g, &shape, None);
+        let expected =
+            orch.run_reactor(&mut reference, make_cnrw(n), |v| v.index() as f64, &policy);
+        let mut subject = endpoint(&g, &roomy, None);
         let policy2 = WorkStealing::new(rhat, 16, SharedFrontier::with_stripes(8, 16));
         let reactor =
             orch.run_reactor(&mut subject, make_cnrw(n), |v| v.index() as f64, &policy2);
 
-        assert_reports_identical(&coalesced, &reactor);
+        assert_reports_identical(&expected, &reactor);
     }
 
     /// Seeded determinism: the reactor is a pure function of (spec, seed,
@@ -252,11 +304,11 @@ proptest! {
     }
 }
 
-/// The issue's headline: 10k+ walkers through one reactor loop, bit-
-/// identical to the coalesced run, with in-flight memory bounded by the
-/// endpoint's window — not the fleet size.
+/// 10k+ walkers through one reactor loop, each walker's trace equal to
+/// its lone replay, with in-flight memory bounded by the endpoint's window
+/// — not the fleet size.
 #[test]
-fn ten_thousand_walkers_match_coalesced_bit_identically() {
+fn ten_thousand_walkers_match_their_replays() {
     let g = erdos_renyi(2000, 0.01, 77).unwrap();
     let n = g.node_count();
     let k = 10_000;
@@ -270,14 +322,12 @@ fn ten_thousand_walkers_match_coalesced_bit_identically() {
         drop_every: 0,
     };
 
-    let mut reference = endpoint(&g, &shape, None);
-    let coalesced = orch.run_coalesced(&mut reference, make_cnrw(n), |v| v.index() as f64, &Never);
     let mut subject = endpoint(&g, &shape, None);
     let (reactor, stats) =
         orch.run_reactor_with_stats(&mut subject, make_cnrw(n), |v| v.index() as f64, &Never);
 
-    assert_reports_identical(&coalesced, &reactor);
-    assert_eq!(coalesced.rounds, stats.events);
+    assert_matches_replays(&g, &orch, &reactor);
+    assert_eq!(stats.events, 8, "one event per lockstep wave");
     assert_eq!(reactor.trace.per_walker.len(), k);
     // The memory bound: in-flight batches track the endpoint window, and
     // at least once the whole 10k fleet was parked on pending I/O.
