@@ -3,8 +3,10 @@
 //! circulation state, RNG stream words, traces, estimator accumulators,
 //! dispatcher cache, fetch queues) through the `osn-serde` text form, and
 //! resume — the completed run must be bit-identical to the uninterrupted
-//! one across both history backends. This is the contract the
-//! `osn-service` job server's kill-and-resume story stands on.
+//! one across both history backends, both for the serial fleet (one batch
+//! slot per walker, zero latency) and for a windowed batch endpoint. This
+//! is the contract the `osn-service` job server's kill-and-resume story
+//! stands on.
 
 use proptest::prelude::*;
 
@@ -50,6 +52,15 @@ fn batch_endpoint() -> SimulatedBatchOsn {
     )
 }
 
+/// The serial fleet's endpoint: zero latency and one batch slot per
+/// walker, so every completion event resolves the whole fleet's requests.
+fn serial_endpoint(walkers: usize) -> SimulatedBatchOsn {
+    SimulatedBatchOsn::new(
+        SimulatedOsn::from_graph(test_graph()),
+        BatchConfig::new(walkers),
+    )
+}
+
 /// Slicing defers submissions across each pause, so a sliced run may
 /// take a different number of completion events than the one-shot run;
 /// everything a walker observes — traces, estimates, stops, walker-side
@@ -90,6 +101,40 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
+    fn serial_resume_is_bit_identical(
+        backend_idx in 0usize..2,
+        pause in 0usize..300,
+        slice in 1usize..7,
+        seed in 0u64..1000,
+    ) {
+        let backend = HistoryBackend::ALL[backend_idx];
+        let orch = WalkOrchestrator::new(4, 250, seed).with_backend(backend);
+
+        // Uninterrupted reference run.
+        let mut endpoint = serial_endpoint(4);
+        let reference = orch.run_reactor(&mut endpoint, make_walker, value_of, &Never);
+
+        // Killed after `pause` events: snapshot through the text form (as
+        // the job server persists it), then resume against a cold endpoint
+        // and drive to completion in `slice`-event increments.
+        let mut endpoint = serial_endpoint(4);
+        let mut run = orch.start_reactor(make_walker);
+        run.run_events(&mut endpoint, &value_of, pause);
+        let text = run.snapshot().to_pretty();
+        drop(run);
+
+        let parsed = Value::parse(&text).map_err(|e| e.to_string())?;
+        let mut resumed = orch
+            .resume_reactor(&parsed, make_walker)
+            .map_err(|e| format!("resume failed: {e}"))?;
+        let mut endpoint = serial_endpoint(4);
+        while resumed.run_events(&mut endpoint, &value_of, slice) > 0 {}
+        prop_assert!(resumed.done());
+        let report = resumed.into_report(&endpoint);
+        assert_matches_reference(&report, &reference);
+    }
+
+    #[test]
     fn reactor_resume_is_bit_identical(
         backend_idx in 0usize..2,
         pause in 0usize..300,
@@ -119,6 +164,24 @@ proptest! {
         while resumed.run_events(&mut endpoint, &value_of, slice) > 0 {}
         prop_assert!(resumed.done());
         let report = resumed.into_report(&endpoint);
+        assert_matches_reference(&report, &reference);
+    }
+}
+
+#[test]
+fn sliced_serial_run_equals_one_shot() {
+    for backend in HistoryBackend::ALL {
+        let orch = WalkOrchestrator::new(5, 300, 17).with_backend(backend);
+        let mut endpoint = serial_endpoint(5);
+        let reference = orch.run_reactor(&mut endpoint, make_walker, value_of, &Never);
+
+        let mut endpoint = serial_endpoint(5);
+        let mut run = orch.start_reactor(make_walker);
+        let mut slice = 1;
+        while run.run_events(&mut endpoint, &value_of, slice) > 0 {
+            slice = slice % 7 + 1; // uneven slices: 1,2,…,7,1,…
+        }
+        let report = run.into_report(&endpoint);
         assert_matches_reference(&report, &reference);
     }
 }
